@@ -12,8 +12,8 @@ from .poly import BivariatePoly
 from .decision import (DecisionOracle, check_tree_compatible, explicit_tree,
                        from_linear_order, from_order_map, load_decision_tree,
                        parse_decision_tree, random_oracle)
-from .engine import (delta_activity, delta_ordering, forest_active,
-                     internal_active_no_contract, run_history)
+from .engine import (decision_walk, delta_activity, delta_ordering,
+                     forest_active, internal_active_no_contract, run_history)
 from .classic import (blossoming_active, blossoming_charge_check,
                       blossoming_internal_active, blossoming_subtree_charge,
                       dfs_active, dfs_forest, dfs_order_map, embedding_active,

@@ -27,10 +27,15 @@ from .tutte import (tutte_connected, tutte_definitional, tutte_delcon,
                     tutte_forest_activity, tutte_half)
 
 
-def _parse_edge_set(text):
+def _parse_edge_set(text, g):
+    """Mask of a comma-separated id list; every id must be an edge of g."""
     if text in ("", "-"):
         return 0
-    return gr.edge_set(int(tok) for tok in text.split(","))
+    ids = [int(tok) for tok in text.split(",")]
+    unknown = sorted({i for i in ids if not g.has_edge(i)})
+    if unknown:
+        raise ValueError("no edge with id " + ",".join(map(str, unknown)))
+    return gr.edge_set(ids)
 
 
 def _format_edge_set(mask):
@@ -56,7 +61,7 @@ def load_graph_checked(path):
     try:
         return gr.load_graph(path)
     except ValueError as exc:
-        raise SystemExit(f"{path}: {exc}")
+        raise SystemExit(f"error: {path}: {exc}")
 
 
 def _make_oracle(spec, g, m):
@@ -113,7 +118,7 @@ def _cmd_tutte(args):
 
 def _cmd_activity(args):
     g, m = _load_inputs(args)
-    tree = _parse_edge_set(args.tree)
+    tree = _parse_edge_set(args.tree, g)
     if args.oracle == "embedding" and m is not None:
         internal, external = embedding_active(m, tree)
     elif args.oracle == "blossoming" and m is not None:
@@ -132,7 +137,7 @@ def _cmd_activity(args):
 def _cmd_ordering(args):
     g, _ = _load_inputs(args)
     order = [int(t) for t in args.order.split(",")]
-    tree = _parse_edge_set(args.tree)
+    tree = _parse_edge_set(args.tree, g)
     internal, external = ordering_active(g, order, tree)
     print(f"internal: {_format_edge_set(internal)}")
     print(f"external: {_format_edge_set(external)}")
@@ -141,7 +146,7 @@ def _cmd_ordering(args):
 def _cmd_history(args):
     g, m = _load_inputs(args)
     oracle = _make_oracle(args.oracle, g, m)
-    subgraph = _parse_edge_set(args.tree)
+    subgraph = _parse_edge_set(args.tree, g)
     history = run_history(g, oracle, subgraph)
     name = m.edge_name if m is not None else str
     print(format_history(history, name))
@@ -269,6 +274,8 @@ def main(argv=None):
         args.fn(args)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    except OSError as exc:
+        raise SystemExit(f"error: {exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

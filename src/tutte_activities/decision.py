@@ -126,10 +126,10 @@ class OrderMapOracle(DecisionOracle):
         self._memo = {}
 
     def next_edge(self, prefix):
-        self._check_prefix(prefix, self.m)
         prefix = tuple(prefix)
         if prefix in self._memo:
             return self._memo[prefix]
+        self._check_prefix(prefix, self.m)
         etas = [self.next_edge(prefix[:j]) for j in range(len(prefix))]
         want = {j for j, d in enumerate(prefix) if d == RIGHT}
         answer = None
@@ -158,10 +158,10 @@ class RandomOracle(DecisionOracle):
         self._memo = {}
 
     def next_edge(self, prefix):
-        self._check_prefix(prefix, self.m)
         prefix = tuple(prefix)
         if prefix in self._memo:
             return self._memo[prefix]
+        self._check_prefix(prefix, self.m)
         used = {self.next_edge(prefix[:j]) for j in range(len(prefix))}
         choices = [e for e in range(self.m) if e not in used]
         rng = random.Random(f"{self.seed}|{''.join(prefix)}")
@@ -242,21 +242,26 @@ def parse_decision_tree(text):
     tokens = _tokenize(text)
     pos = 0
 
+    def peek():
+        if pos >= len(tokens):
+            raise ValueError("unexpected end of tree")
+        return tokens[pos]
+
     def parse_node():
         nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
+        if peek() != "(":
             raise ValueError("expected '('")
         pos += 1
-        if pos >= len(tokens) or tokens[pos] in "()":
+        if peek() in "()":
             raise ValueError("expected node label")
         label = int(tokens[pos])
         pos += 1
-        if tokens[pos] == ")":
+        if peek() == ")":
             pos += 1
             return (label, None, None)
         left = parse_node()
         right = parse_node()
-        if tokens[pos] != ")":
+        if peek() != ")":
             raise ValueError("expected ')'")
         pos += 1
         return (label, left, right)

@@ -11,7 +11,7 @@ boolean lattice of subgraphs by spanning trees.
 from __future__ import annotations
 
 from . import graph as gr
-from .engine import (TYPE_I, TYPE_L, TYPE_SI, active_mask, delta_activity,
+from .engine import (TYPE_I, TYPE_L, TYPE_SI, active_mask, decision_walk,
                      forest_active, run_history, type_masks)
 
 MATERIALIZE_MAX_EDGES = 20
@@ -70,12 +70,12 @@ def interval_of(g, oracle, mask) -> SubgraphInterval:
 
 
 def partition(g, oracle):
-    """Map each spanning tree to its interval [T - I(T), T + E(T)]."""
-    out = {}
-    for t in gr.spanning_trees(g):
-        internal, external = delta_activity(g, oracle, t)
-        out[t] = SubgraphInterval(t & ~internal, t | external)
-    return out
+    """Map each spanning tree to its interval [T - I(T), T + E(T)].
+
+    The trees are the leaves of one decision-tree walk, in ascending order.
+    """
+    return {t: SubgraphInterval(t & ~internal, t | external)
+            for t, internal, external in sorted(decision_walk(g, oracle))}
 
 
 def class_table(g, oracle):

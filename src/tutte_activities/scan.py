@@ -13,7 +13,7 @@ never asserted absent.
 from __future__ import annotations
 
 from . import graph as gr
-from .engine import active_mask, run_history
+from .engine import decision_walk
 from .poly import BivariatePoly
 from .tutte import tutte_definitional
 
@@ -68,9 +68,9 @@ def decision_tree_activities(g):
     m = g.edge_count()
     seen = set()
     for table in _enumerate_decision_functions(m):
-        oracle = _DictOracle(table)
-        vector = tuple(active_mask(run_history(g, oracle, t)) for t in trees)
-        seen.add(vector)
+        active = {t: internal | external for t, internal, external
+                  in decision_walk(g, _DictOracle(table))}
+        seen.add(tuple(active[t] for t in trees))
     return seen
 
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from . import graph as gr
 from .classic import dfs_active
-from .engine import TYPE_I, TYPE_L, forest_active, run_history, type_masks
+from .engine import (TYPE_I, TYPE_L, decision_walk, forest_active,
+                     run_history, type_masks)
 from .poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
 
 
@@ -82,9 +83,12 @@ def tutte_activity(g, activity) -> BivariatePoly:
 
 
 def tutte_delta(g, oracle) -> BivariatePoly:
-    """The activity route driven by a decision oracle."""
-    from .engine import delta_activity
-    return tutte_activity(g, lambda t: delta_activity(g, oracle, t))
+    """The activity route: one monomial per leaf of the decision-tree walk."""
+    counts = {}
+    for _, internal, external in decision_walk(g, oracle):
+        key = (gr.popcount(internal), gr.popcount(external))
+        counts[key] = counts.get(key, 0) + 1
+    return BivariatePoly(counts)
 
 
 def _type_counts(g, oracle, mask):

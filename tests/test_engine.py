@@ -1,14 +1,18 @@
+import random
 from itertools import product
 
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities.decision import from_linear_order, random_oracle
-from tutte_activities.engine import (DIRECTION_OF_TYPE, delta_activity,
+from tutte_activities.decision import (explicit_tree, from_linear_order,
+                                       random_oracle)
+from tutte_activities.engine import (DIRECTION_OF_TYPE, MaskMinor,
+                                     decision_walk, delta_activity,
                                      delta_ordering, forest_active,
                                      format_history,
                                      internal_active_no_contract, run_history,
                                      type_masks, types_by_edge)
+from tutte_activities.harness import connected_multigraphs, desk_corpus
 from conftest import fixture_graph, letters_of, mask_of
 
 # Expected types for every subgraph of the parallel triangle under the
@@ -282,3 +286,125 @@ def test_run_history_requires_connected():
 def test_format_history(g4, d4):
     text = format_history(run_history(g4, d4, mask_of("ad")))
     assert text == "2 Se\n1 I\n0 Si\n3 L"
+
+
+# -- the decision-tree walk ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return desk_corpus()
+
+
+def _materialized(g, oracle):
+    """The explicit tree that answers like `oracle` on every path of g."""
+    m = g.edge_count()
+
+    def node(prefix):
+        label = oracle.next_edge(prefix)
+        if len(prefix) == m - 1:
+            return (label, None, None)
+        return (label, node(prefix + ("l",)), node(prefix + ("r",)))
+
+    return explicit_tree(node(()), g.edge_ids)
+
+
+def _corpus_oracles(g):
+    yield "linear", from_linear_order(list(g.edge_ids))
+    yield "random", random_oracle(g, 5)
+    yield "explicit", _materialized(g, random_oracle(g, 6))
+
+
+def test_walk_leaves_are_the_spanning_trees_with_their_activities(corpus):
+    for g in corpus:
+        trees = gr.spanning_trees(g)
+        for name, oracle in _corpus_oracles(g):
+            walked = list(decision_walk(g, oracle))
+            assert sorted(t for t, _, _ in walked) == trees, (g, name)
+            for t, internal, external in walked:
+                assert (internal, external) == delta_activity(g, oracle, t), (
+                    g, name, t)
+
+
+def test_walk_asks_each_node_once(g4, d4):
+    asked = []
+
+    class Counting:
+        def next_edge(self, prefix):
+            asked.append(prefix)
+            return d4.next_edge(prefix)
+
+    walked = list(decision_walk(g4, Counting()))
+    assert len(asked) == len(set(asked))
+    # five leaves, and every path shares its nodes up to the branch point
+    assert len(walked) == 5
+    assert len(asked) < 5 * g4.edge_count()
+
+
+def test_walk_of_single_edge_graphs():
+    assert list(decision_walk(fixture_graph("single_isthmus"),
+                              from_linear_order([0]))) == [(1, 1, 0)]
+    assert list(decision_walk(fixture_graph("single_loop"),
+                              from_linear_order([0]))) == [(0, 0, 1)]
+
+
+def _random_minor_steps(g, rng):
+    """Random delete/contract steps, checking every surviving edge first."""
+    minor = MaskMinor(g)
+    h = g
+    contracted = deleted = 0
+    while h.edge_count():
+        for eid in h.edge_ids:
+            assert minor.classify(contracted, deleted, eid) == \
+                gr.classify_edge(h, eid), (g, contracted, deleted, eid)
+        eid = rng.choice(h.edge_ids)
+        if h.is_loop(eid) or rng.random() < 0.5:
+            h = gr.delete(h, eid)
+            deleted |= 1 << eid
+        else:
+            h = gr.contract(h, eid)
+            contracted |= 1 << eid
+
+
+def test_mask_classifier_equals_rebuilt_minor_classification(corpus):
+    rng = random.Random(2024)
+    graphs = connected_multigraphs(4) + rng.sample(corpus, 60) + [
+        fixture_graph(name) for name in
+        ("parallel_triangle", "cycles_cocycles", "dfs_six", "two_loop_bouquet")]
+    for g in graphs:
+        for _ in range(3):
+            _random_minor_steps(g, rng)
+
+
+def test_mask_classifier_on_ids_not_from_zero():
+    g = gr.Graph(3, [(5, 0, 1), (7, 0, 1), (9, 1, 2), (11, 2, 2)])
+    minor = MaskMinor(g)
+    assert minor.classify(0, 0, 5) == gr.STANDARD
+    assert minor.classify(0, 0, 9) == gr.ISTHMUS
+    assert minor.classify(0, 0, 11) == gr.LOOP
+    assert minor.classify(1 << 5, 0, 7) == gr.LOOP
+    assert minor.classify(0, 1 << 5, 7) == gr.ISTHMUS
+
+
+class _RepeatsOnLeft:
+    """Answers edge 2 at the root and again on the root's left child."""
+
+    def next_edge(self, prefix):
+        if prefix in ((), ("l",)):
+            return 2
+        return 0
+
+
+def test_walk_rejects_edge_repeated_along_a_path(g4):
+    with pytest.raises(ValueError, match="unusable"):
+        list(decision_walk(g4, _RepeatsOnLeft()))
+
+
+def test_walk_rejects_unknown_edge_and_disconnected_graph(g4):
+    class Unknown:
+        def next_edge(self, prefix):
+            return 9
+    with pytest.raises(ValueError, match="unusable edge 9"):
+        list(decision_walk(g4, Unknown()))
+    with pytest.raises(ValueError, match="connected"):
+        list(decision_walk(gr.Graph(3, [(0, 0, 1)]), from_linear_order([0])))

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -6,15 +7,20 @@ import pytest
 from tutte_activities import graph as gr
 from tutte_activities.harness import (canonical_form, connected_multigraphs,
                                       crosscheck, desk_corpus)
-from conftest import FIXTURES, fixture_map, graph_path, map_path
+from conftest import FIXTURES, ROOT, fixture_map, graph_path, map_path
 
 TREE_FILE = FIXTURES / "trees" / "parallel_triangle.tree"
+
+# The CLI runs in a child process, which finds the package the way this one
+# does: through `src` on its path.
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "tutte_activities.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CLI_ENV)
 
 
 def test_crosscheck_passes_on_fixture(g4):
@@ -189,3 +195,48 @@ def test_cli_parse_error_has_line_number(tmp_path):
     out = run_cli("tutte", "--graph", str(bad))
     assert out.returncode != 0
     assert "line 2" in out.stderr
+
+
+def _one_error_line(out):
+    assert out.returncode != 0
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["history", "activity"])
+def test_cli_rejects_edge_id_not_in_graph(command):
+    out = run_cli(command, "--graph", str(graph_path("triangle")),
+                  "--tree", "0,9")
+    assert _one_error_line(out) == "error: no edge with id 9"
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("text", ["(2", "(2 (1", "(2 (1 (0 (3) (3))", ""])
+def test_cli_truncated_decision_tree(tmp_path, text):
+    bad = tmp_path / "cut.tree"
+    bad.write_text(text)
+    out = run_cli("tutte", "--graph", G4, "--method", "activity",
+                  "--oracle", f"file:{bad}")
+    assert _one_error_line(out) == "error: unexpected end of tree"
+
+
+def test_parse_decision_tree_truncated():
+    from tutte_activities.decision import parse_decision_tree
+    for text in ("(2", "(2 (1", "(2 (1) (3)"):
+        with pytest.raises(ValueError, match="unexpected end of tree"):
+            parse_decision_tree(text)
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--map", "--oracle"])
+def test_cli_missing_input_file(tmp_path, flag):
+    missing = tmp_path / "absent.txt"
+    if flag == "--oracle":
+        args = ["--graph", G4, "--method", "activity",
+                "--oracle", f"file:{missing}"]
+    else:
+        args = [flag, str(missing)]
+    out = run_cli("tutte", *args)
+    assert _one_error_line(out) == \
+        f"error: {missing}: No such file or directory"

@@ -2,7 +2,8 @@ import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities.decision import from_linear_order, random_oracle
-from tutte_activities.engine import (active_mask, run_history, type_masks)
+from tutte_activities.engine import (active_mask, delta_activity,
+                                     run_history, type_masks)
 from tutte_activities.partition import (SubgraphInterval, class_table,
                                         equivalent, forest_partition_activity,
                                         forest_partition_types, interval_of,
@@ -183,3 +184,30 @@ def test_interval_validation():
     assert list(iv.members()) == [0b001, 0b101]
     assert iv.size() == 2
     assert 0b001 in iv and 0b011 not in iv
+
+
+@pytest.mark.parametrize("name", ["parallel_triangle", "cycles_cocycles",
+                                  "dfs_six", "two_loop_bouquet",
+                                  "single_isthmus"])
+@pytest.mark.parametrize("seed", range(2))
+def test_partition_equals_per_tree_intervals(name, seed):
+    # the walk's intervals are those of each tree's own history, in
+    # ascending tree order
+    g = fixture_graph(name)
+    oracle = random_oracle(g, seed)
+    expected = {}
+    for t in gr.spanning_trees(g):
+        internal, external = delta_activity(g, oracle, t)
+        expected[t] = SubgraphInterval(t & ~internal, t | external)
+    parts = partition(g, oracle)
+    assert parts == expected
+    assert list(parts) == sorted(parts)
+
+
+def test_partition_on_ids_not_from_zero():
+    double_edge = gr.Graph(2, [(5, 0, 1), (7, 0, 1)])
+    parts = partition(double_edge, from_linear_order([5, 7]))
+    assert {t: (iv.lower, iv.upper) for t, iv in parts.items()} == {
+        1 << 5: (0, 1 << 5),
+        1 << 7: (1 << 7, (1 << 5) | (1 << 7)),
+    }

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities.classic import embedding_active, ordering_active
 from tutte_activities.decision import from_linear_order, random_oracle
-from tutte_activities.engine import run_history, type_masks
+from tutte_activities.engine import delta_activity, run_history, type_masks
 from tutte_activities.poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
 from tutte_activities.tutte import (tutte_activity, tutte_connected,
                                     tutte_definitional, tutte_delcon,
@@ -153,3 +156,33 @@ def test_per_class_weight_identity(g4):
                     y_minus_1_pow(gr.cycl(g4, member))
             assert total == BivariatePoly.monomial(
                 gr.popcount(internal), gr.popcount(external))
+
+
+@pytest.mark.parametrize("name", ["parallel_triangle", "cycles_cocycles",
+                                  "dfs_six", "two_loop_bouquet"])
+def test_delta_route_equals_per_tree_activities(name):
+    g = fixture_graph(name)
+    for oracle in (from_linear_order(list(g.edge_ids)), random_oracle(g, 3)):
+        per_tree = tutte_activity(g, lambda t: delta_activity(g, oracle, t))
+        assert tutte_delta(g, oracle) == per_tree
+
+
+def test_delta_route_on_ids_not_from_zero():
+    double_edge = gr.Graph(2, [(5, 0, 1), (7, 0, 1)])
+    assert str(tutte_delta(double_edge, from_linear_order([5, 7]))) == "x + y"
+
+
+def test_delta_route_releases_the_oracle_without_gc(g4):
+    # The walk must hold no reference cycle: a cycle would keep the oracle
+    # and its memo alive until a full collection.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        oracle = random_oracle(g4, 4)
+        ref = weakref.ref(oracle)
+        assert str(tutte_delta(g4, oracle)) == GOLDEN_G4
+        del oracle
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
