@@ -9,13 +9,12 @@ which is what makes all of them describe the same polynomial.
 from pathlib import Path
 
 from tutte_activities import (blossoming_active, blossoming_internal_active,
-                              dfs_active, dfs_forest, dfs_order_map,
-                              embedding_active, from_linear_order,
-                              from_order_map, load_graph, load_map,
-                              ordering_active, spanning_trees, tau)
+                              dfs_active, dfs_order_map, embedding_active,
+                              from_linear_order, load_graph, load_map,
+                              order_map_oracle, ordering_active,
+                              spanning_trees, tau)
 from tutte_activities import graph as gr
 from tutte_activities.classic import blossoming_first_visit_order
-from tutte_activities.comb_map import mirror, tour_order
 from tutte_activities.engine import delta_activity
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -39,8 +38,7 @@ print("  same from the level-constant oracle:",
 # mirror map's tour orders
 m = load_map(FIXTURES / "maps" / "parallel_triangle.map")
 gm = m.underlying_graph()
-mirror_orders = {t: tour_order(mirror(m), t)[1] for t in spanning_trees(gm)}
-embedding_oracle = from_order_map(gm, mirror_orders)
+embedding_oracle = order_map_oracle("embedding", gm, m)
 agree = all(delta_activity(gm, embedding_oracle, t) == embedding_active(m, t)
             for t in spanning_trees(gm))
 print("\nembedding activity equals its oracle's activity on every tree:", agree)
@@ -67,7 +65,6 @@ tree = gr.edge_set([0, 2, 4])
 print("\nmarking-DFS edge order on {a,c,e}:",
       [" abcde"[e + 1] for e in dfs_order_map(s, tree)])
 print("DFS-active externals:", ["abcde"[e] for e in gr.edge_ids(dfs_active(s, tree))])
-dfs_oracle = from_order_map(s, {t: dfs_order_map(s, t)
-                                for t in spanning_trees(s)})
+dfs_oracle = order_map_oracle("dfs", s)
 print("  same external set from the DFS oracle:",
       delta_activity(s, dfs_oracle, tree)[1] == dfs_active(s, tree))

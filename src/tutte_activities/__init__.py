@@ -17,7 +17,7 @@ from .engine import (decision_walk, delta_activity, delta_ordering,
 from .classic import (blossoming_active, blossoming_charge_check,
                       blossoming_internal_active, blossoming_subtree_charge,
                       dfs_active, dfs_forest, dfs_order_map, embedding_active,
-                      ordering_active, tau)
+                      order_map_oracle, ordering_active, tau)
 from .tutte import (tutte_connected, tutte_definitional, tutte_delcon,
                     tutte_delta, tutte_dfs, tutte_forest,
                     tutte_forest_activity, tutte_half)

@@ -12,7 +12,9 @@ live here.
 from __future__ import annotations
 
 from . import graph as gr
-from .comb_map import CombMap, tour_order
+from .comb_map import CombMap, mirror, tour_order
+from .decision import OrderMapOracle
+from .engine import MaskMinor
 
 
 # -- generic min/max rule ----------------------------------------------------
@@ -92,51 +94,36 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
     g0 = m.underlying_graph()
     if not gr.is_forest(g0, forest_mask):
         raise ValueError("input edge set contains a cycle")
+    minor = MaskMinor(g0)
     n_half = len(m.sigma)
     sigma = list(m.sigma)
     alpha = m.alpha
     edge_of = m.edge_of()
     vertex_of = m.vertex_of()
     pairs = m.edge_pairs()
-    n_vertices = len(m.vertex_cycles())
-    m_edges = m.edge_count()
+    all_edges = g0.full_edge_set()
 
-    alive = set(range(m_edges))
+    dead = 0
     visited = set()
     first_visit = []
     isthmus_first = 0
-    charges = {v: 0 for v in range(n_vertices)}
+    charges = {v: 0 for v in range(g0.vertex_count)}
 
-    def current_graph():
-        return gr.Graph(n_vertices,
-                        [(eid, vertex_of[pairs[eid][0]], vertex_of[pairs[eid][1]])
-                         for eid in alive])
+    def alive(h):
+        return not (dead >> edge_of[h]) & 1
 
     def delete_in_place(eid):
-        h1, h2 = pairs[eid]
-        updates = {}
+        """Splice both halves of the edge out of the alive rotations."""
+        halves = pairs[eid]
         for h in range(n_half):
-            if h in (h1, h2) or edge_of[h] not in alive:
-                continue
-            s = sigma[h]
-            if s == h1:
-                if sigma[h1] == h2:
-                    updates[h] = sigma[sigma[sigma[h]]]
-                else:
-                    updates[h] = sigma[sigma[h]]
-            elif s == h2:
-                if sigma[h2] == h1:
-                    updates[h] = sigma[sigma[sigma[h]]]
-                else:
-                    updates[h] = sigma[sigma[h]]
-        for h, s in updates.items():
-            sigma[h] = s
-        alive.discard(eid)
+            if h not in halves and alive(h):
+                while sigma[h] in halves:
+                    sigma[h] = sigma[sigma[h]]
 
     h = m.root
     guard = 0
     limit = 4 * n_half * n_half + 16
-    while len(visited) < m_edges:
+    while len(visited) < len(pairs):
         guard += 1
         if guard > limit:
             raise RuntimeError("pruning walk failed to terminate")
@@ -148,28 +135,26 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
         departure = vertex_of[h]
         arrival = vertex_of[alpha[h]]
         h_next = sigma[alpha[h]]
-        is_isthmus = gr.classify_edge(current_graph(), eid) == gr.ISTHMUS
+        is_isthmus = minor.classify(0, dead, eid) == gr.ISTHMUS
         if first and is_isthmus:
             isthmus_first |= 1 << eid
         if not is_isthmus and not ((forest_mask >> eid) & 1):
             delete_in_place(eid)
+            dead |= 1 << eid
             charges[departure] -= 1
             charges[arrival] += 1
         # The successor may have died with the deleted edge (halves of a
         # loop adjacent in the rotation); slide along the stale rotation
         # entries until an alive half-edge shows up.
         hops = 0
-        while alive and edge_of[h_next] not in alive:
+        while dead != all_edges and not alive(h_next):
             h_next = sigma[h_next]
             hops += 1
             if hops > n_half:
                 raise RuntimeError("pruning walk lost its position")
         h = h_next
 
-    tree_mask = 0
-    for eid in alive:
-        tree_mask |= 1 << eid
-    return PruneRun(tree_mask, first_visit, isthmus_first, charges)
+    return PruneRun(all_edges & ~dead, first_visit, isthmus_first, charges)
 
 
 def tau(m: CombMap, forest_mask) -> int:
@@ -392,3 +377,31 @@ def dfs_order_map(g, subgraph_mask):
                     vorder.append(u)
                     v = u
     return out
+
+
+# -- the classical families as order-map oracles -------------------------------
+
+ORDER_MAP_FAMILIES = ("embedding", "blossoming", "dfs")
+
+
+def order_map_oracle(family, g, cmap=None):
+    """The decision oracle realizing a classical family's order map.
+
+    `embedding` orders each spanning tree of g by its tour in the mirror of
+    `cmap`, `blossoming` by the first visits of the pruning walk on `cmap`
+    (both need the map, whose underlying graph g is), and `dfs` by the
+    marking DFS of the simple graph g.
+    """
+    if family not in ORDER_MAP_FAMILIES:
+        raise ValueError(f"unknown order-map family {family!r}")
+    if cmap is None and family != "dfs":
+        raise ValueError(f"the {family} order map needs a map")
+    trees = gr.spanning_trees(g)
+    if family == "dfs":
+        table = {t: dfs_order_map(g, t) for t in trees}
+    elif family == "embedding":
+        mm = mirror(cmap)
+        table = {t: tour_order(mm, t)[1] for t in trees}
+    else:
+        table = {t: blossoming_first_visit_order(cmap, t) for t in trees}
+    return OrderMapOracle(g, table)

@@ -12,12 +12,10 @@ import argparse
 import sys
 
 from . import graph as gr
-from .classic import (blossoming_active, blossoming_first_visit_order,
-                      dfs_active, dfs_order_map, embedding_active,
-                      ordering_active)
-from .comb_map import load_map, mirror, tour_order
-from .decision import (from_linear_order, from_order_map, load_decision_tree,
-                       random_oracle)
+from .classic import (ORDER_MAP_FAMILIES, blossoming_active, dfs_active,
+                      embedding_active, order_map_oracle, ordering_active)
+from .comb_map import load_map
+from .decision import from_linear_order, load_decision_tree, random_oracle
 from .engine import delta_activity, format_history, run_history
 from .harness import crosscheck
 from .partition import partition
@@ -65,31 +63,20 @@ def load_graph_checked(path):
 
 
 def _make_oracle(spec, g, m):
+    """The oracle an --oracle spec names; a bad spec raises ValueError."""
     if spec is None or spec == "linear":
         return from_linear_order(list(g.edge_ids))
-    if spec.startswith("linear:"):
-        order = [int(t) for t in spec.split(":", 1)[1].split(",")]
-        return from_linear_order(order)
-    if spec.startswith("random:"):
-        return random_oracle(g, int(spec.split(":", 1)[1]))
-    if spec.startswith("file:"):
-        return load_decision_tree(spec.split(":", 1)[1], g.edge_ids)
-    if spec == "embedding":
-        if m is None:
-            raise SystemExit("--oracle embedding needs --map")
-        mm = mirror(m)
-        table = {t: tour_order(mm, t)[1] for t in gr.spanning_trees(g)}
-        return from_order_map(g, table)
-    if spec == "blossoming":
-        if m is None:
-            raise SystemExit("--oracle blossoming needs --map")
-        table = {t: blossoming_first_visit_order(m, t)
-                 for t in gr.spanning_trees(g)}
-        return from_order_map(g, table)
-    if spec == "dfs":
-        table = {t: dfs_order_map(g, t) for t in gr.spanning_trees(g)}
-        return from_order_map(g, table)
-    raise SystemExit(f"unknown oracle spec {spec!r}")
+    if spec in ORDER_MAP_FAMILIES:
+        return order_map_oracle(spec, g, m)
+    kind, _, arg = spec.partition(":")
+    ids = arg.split(",")
+    if kind == "linear" and all(t.isdecimal() for t in ids):
+        return from_linear_order([int(t) for t in ids])
+    if kind == "random" and arg.removeprefix("-").isdecimal():
+        return random_oracle(g, int(arg))
+    if kind == "file" and arg:
+        return load_decision_tree(arg, g.edge_ids)
+    raise ValueError(f"unknown oracle spec {spec!r}")
 
 
 def _cmd_tutte(args):

@@ -103,45 +103,34 @@ class LinearOrderOracle(DecisionOracle):
 class OrderMapOracle(DecisionOracle):
     """Lazy oracle realizing a tree-compatible order map.
 
-    For a prefix (d_1,...,d_{k-1}) with earlier answers n_1,...,n_{k-1}, it
-    finds a spanning tree T whose trace {j : n_j in T} equals {j : d_j = r}
-    and answers the k-th edge of T's assigned order.  Tree-compatibility
-    makes the answer independent of which matching tree is found; branches
-    matched by no tree fall back to the smallest unused edge id, which keeps
+    The map is read into a trie once (see `order_map_trie`): every prefix
+    some spanning tree walks is answered by lookup.  Tree-compatibility
+    makes that answer independent of the tree that put it there; branches
+    walked by no tree fall back to the smallest unused edge id, which keeps
     outputs deterministic.
     """
 
     def __init__(self, g: Graph, table):
-        self.g = g
+        self.edge_ids = g.edge_ids
         self.m = g.edge_count()
-        self.trees = spanning_trees(g)
-        check_order_map_table(g, table)
-        witness = check_tree_compatible(g, table)
+        self.trie, witness = order_map_trie(g, table)
         if witness is not None:
             t1, t2, k = witness
             raise ValueError(
                 f"order map is not tree-compatible: trees {t1:#x} and {t2:#x} "
                 f"agree up to step {k} but diverge")
-        self.table = {t: tuple(table[t]) for t in self.trees}
-        self._memo = {}
 
     def next_edge(self, prefix):
         prefix = tuple(prefix)
-        if prefix in self._memo:
-            return self._memo[prefix]
-        self._check_prefix(prefix, self.m)
-        etas = [self.next_edge(prefix[:j]) for j in range(len(prefix))]
-        want = {j for j, d in enumerate(prefix) if d == RIGHT}
-        answer = None
-        for t in self.trees:
-            have = {j for j, e in enumerate(etas) if (t >> e) & 1}
-            if have == want:
-                answer = self.table[t][len(prefix)]
-                break
+        answer = self.trie.get(prefix)
         if answer is None:
-            used = set(etas)
-            answer = min(e for e in range(self.m) if e not in used)
-        self._memo[prefix] = answer
+            self._check_prefix(prefix, self.m)
+            used = set()
+            for j in range(len(prefix) + 1):
+                answer = self.trie.get(prefix[:j])
+                if answer is None:
+                    answer = min(e for e in self.edge_ids if e not in used)
+                used.add(answer)
         return answer
 
 
@@ -195,35 +184,47 @@ def random_oracle(g: Graph, seed):
 
 def check_order_map_table(g: Graph, table):
     """Validate the table: one full edge permutation per spanning tree."""
-    trees = spanning_trees(g)
-    ids = set(range(g.edge_count()))
-    for t in trees:
+    ids = set(g.edge_ids)
+    for t in spanning_trees(g):
         if t not in table:
             raise ValueError(f"order map table is missing tree {t:#x}")
         if set(table[t]) != ids or len(table[t]) != len(ids):
             raise ValueError(f"entry for tree {t:#x} is not an edge permutation")
 
 
+def order_map_trie(g: Graph, table):
+    """Read an order map into one trie; return (trie, witness).
+
+    Each spanning tree t walks its order, stepping right exactly when the
+    edge is in t; the trie maps every direction prefix walked to the edge
+    that comes next.  The map is tree-compatible when no prefix is reached
+    with two different next edges, and the witness is None.  Otherwise the
+    walk stops at the first such prefix, of length k, and the witness is
+    (first tree there, t, k): the two orders agree on their first k edges,
+    which lie in both trees or in neither, and differ at position k.
+    """
+    check_order_map_table(g, table)
+    trie = {}
+    owner = {}
+    for t in spanning_trees(g):
+        prefix = ()
+        for k, e in enumerate(table[t]):
+            known = trie.get(prefix)
+            if known is None:
+                trie[prefix] = e
+                owner[prefix] = t
+            elif known != e:
+                return trie, (owner[prefix], t, k)
+            prefix += (RIGHT if (t >> e) & 1 else LEFT,)
+    return trie, None
+
+
 def check_tree_compatible(g: Graph, table):
     """Return None when the order map is realizable by one decision tree.
 
-    Otherwise return a witness (tree, tree', k): the two trees select the
-    same internal edges among the first k of tree's order, yet their orders
-    disagree somewhere in the first k+1 positions.
+    Otherwise return the witness (tree, tree', k) of `order_map_trie`.
     """
-    check_order_map_table(g, table)
-    trees = spanning_trees(g)
-    m = g.edge_count()
-    for t1 in trees:
-        order1 = table[t1]
-        for t2 in trees:
-            order2 = table[t2]
-            for k in range(m):
-                head = order1[:k]
-                if all(((t1 >> e) & 1) == ((t2 >> e) & 1) for e in head):
-                    if tuple(order1[:k + 1]) != tuple(order2[:k + 1]):
-                        return (t1, t2, k)
-    return None
+    return order_map_trie(g, table)[1]
 
 
 # -- s-expression file format ----------------------------------------------------

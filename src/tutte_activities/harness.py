@@ -13,12 +13,12 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, permutations
 
 from . import graph as gr
-from .classic import (blossoming_active, blossoming_first_visit_order,
-                      blossoming_internal_active, dfs_active,
-                      dfs_active_by_inversion, dfs_forest, dfs_order_map,
-                      embedding_active, maximal_active, ordering_active, tau)
+from .classic import (blossoming_active, blossoming_internal_active,
+                      dfs_active, dfs_active_by_inversion, dfs_forest,
+                      embedding_active, maximal_active, order_map_oracle,
+                      ordering_active, tau)
 from .comb_map import CombMap, mirror, tour_order
-from .decision import from_linear_order, from_order_map, random_oracle
+from .decision import from_linear_order, random_oracle
 from .engine import (delta_activity, delta_ordering,
                      internal_active_no_contract, run_history)
 from .partition import SubgraphInterval, class_table, representative_tree
@@ -231,24 +231,22 @@ def _map_checks(results, m: CombMap):
                 f"mirror max rule diverges on tree {t:#x}")
     _check(results, "embedding-mirror-max", embedding_vs_mirror)
 
+    embedding = order_map_oracle("embedding", g, m)
+
     def embedding_as_delta():
-        table = {t: tour_order(mm, t)[1] for t in trees}
-        oracle = from_order_map(g, table)
         for t in trees:
-            assert delta_activity(g, oracle, t) == embedding_active(m, t), (
+            assert delta_activity(g, embedding, t) == embedding_active(m, t), (
                 f"embedding route diverges on tree {t:#x}")
     _check(results, "embedding-as-decision-oracle", embedding_as_delta)
 
     def embedding_descriptive():
         ref = tutte_definitional(g)
-        value = tutte_delta(
-            g, from_order_map(g, {t: tour_order(mm, t)[1] for t in trees}))
+        value = tutte_delta(g, embedding)
         assert value == ref, f"embedding activity sums to {value}, not {ref}"
     _check(results, "embedding-descriptive", embedding_descriptive)
 
     def blossoming_checks():
-        table = {t: blossoming_first_visit_order(m, t) for t in trees}
-        oracle = from_order_map(g, table)
+        oracle = order_map_oracle("blossoming", g, m)
         for t in trees:
             internal = blossoming_internal_active(m, t)
             full = blossoming_active(m, t)
@@ -277,10 +275,8 @@ def _dfs_checks(results, g):
     _check(results, "dfs-inversion-rule", active_rules)
 
     def as_delta():
-        trees = gr.spanning_trees(g)
-        table = {t: dfs_order_map(g, t) for t in trees}
-        oracle = from_order_map(g, table)
-        for t in trees:
+        oracle = order_map_oracle("dfs", g)
+        for t in gr.spanning_trees(g):
             internal, external = delta_activity(g, oracle, t)
             assert external == dfs_active(g, t), (
                 f"dfs external actives differ on tree {t:#x}")

@@ -34,37 +34,21 @@ def tutte_definitional(g) -> BivariatePoly:
     return total
 
 
-def tutte_delcon(g, memoize=False) -> BivariatePoly:
-    """Deletion/contraction recursion pivoting on the smallest edge id.
-
-    With memoize=True, intermediate results are cached under an
-    isomorphism-invariant key, trading canonicalization time for shared
-    subproblems; results are identical either way.
-    """
+def tutte_delcon(g) -> BivariatePoly:
+    """Deletion/contraction recursion pivoting on the smallest edge id."""
     if not gr.is_connected(g):
         raise ValueError("graph must be connected")
-    cache = {} if memoize else None
 
     def rec(h):
         if h.edge_count() == 0:
             return BivariatePoly.one()
-        if cache is not None:
-            from .harness import canonical_form
-            key = canonical_form(h)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
         eid = h.edges[0][0]
         kind = gr.classify_edge(h, eid)
         if kind == gr.LOOP:
-            value = BivariatePoly.y() * rec(gr.delete(h, eid))
-        elif kind == gr.ISTHMUS:
-            value = BivariatePoly.x() * rec(gr.contract(h, eid))
-        else:
-            value = rec(gr.delete(h, eid)) + rec(gr.contract(h, eid))
-        if cache is not None:
-            cache[key] = value
-        return value
+            return BivariatePoly.y() * rec(gr.delete(h, eid))
+        if kind == gr.ISTHMUS:
+            return BivariatePoly.x() * rec(gr.contract(h, eid))
+        return rec(gr.delete(h, eid)) + rec(gr.contract(h, eid))
 
     return rec(g)
 

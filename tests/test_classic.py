@@ -186,6 +186,24 @@ def test_charge_worked_example(pruning_map):
     assert blossoming_charge_check(m, t, c_id)
 
 
+@pytest.mark.parametrize("name,forest,visits,tree,isthmuses,charges", [
+    ("pruning_planar", "d", "adbc", "cd", "c", {0: -2, 1: 1, 2: 1}),
+    ("pruning_planar", "a", "adcb", "ab", "b", {0: 1, 1: -2, 2: 1}),
+    ("parallel_triangle_alt", "", "acbd", "bd", "bd", {0: -1, 1: 0, 2: 1}),
+    ("nonplanar_parallel", "b", "abc", "b", "", {0: -2, 1: 2}),
+    ("two_crossing_loops", "", "ab", "", "", {0: 0}),
+    ("loop_contract_guard", "", "acb", "bc", "bc", {0: 0, 1: 0, 2: 0}),
+])
+def test_pruning_walk_transcript_on_forests(name, forest, visits, tree,
+                                            isthmuses, charges):
+    m = fixture_map(name)
+    run = prune_run(m, edge_mask(m, forest))
+    assert "".join(m.edge_name(e) for e in run.first_visit) == visits
+    assert "".join(names_of(m, run.tree_mask)) == tree
+    assert "".join(names_of(m, run.isthmus_at_first_visit)) == isthmuses
+    assert run.charges == charges
+
+
 def test_charges_sum_to_zero(pruning_map):
     g = pruning_map.underlying_graph()
     for t in gr.spanning_trees(g):

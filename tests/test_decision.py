@@ -1,6 +1,10 @@
+import random
+from functools import lru_cache
+
 import pytest
 
 from tutte_activities import graph as gr
+from tutte_activities.classic import dfs_order_map
 from tutte_activities.comb_map import mirror, tour_order
 from tutte_activities.decision import (check_tree_compatible, explicit_tree,
                                        format_decision_tree, from_linear_order,
@@ -8,7 +12,13 @@ from tutte_activities.decision import (check_tree_compatible, explicit_tree,
                                        random_oracle, ExplicitTreeOracle,
                                        RandomOracle)
 from tutte_activities.engine import delta_ordering
+from tutte_activities.harness import desk_corpus
 from conftest import mask_of
+
+
+@lru_cache(maxsize=None)
+def desk_graphs():
+    return desk_corpus()
 
 
 def all_prefixes(m):
@@ -64,6 +74,15 @@ def test_linear_order_rejects_non_permutation():
         from_linear_order([0, 0, 1])
 
 
+def assert_witness(table, witness):
+    """Both trees walk the same k edges, each in both or in neither, then part."""
+    t1, t2, k = witness
+    head = tuple(table[t1][:k])
+    assert head == tuple(table[t2][:k])
+    assert all((t1 >> e) & 1 == (t2 >> e) & 1 for e in head)
+    assert table[t1][k] != table[t2][k]
+
+
 def test_order_map_table_passes_checker(g4, order_map_table_g4):
     assert check_tree_compatible(g4, order_map_table_g4) is None
 
@@ -85,9 +104,8 @@ def test_reversed_tour_order_map_rejected(embedding_map):
     table = {t: list(reversed(tour_order(embedding_map, t)[1]))
              for t in gr.spanning_trees(g)}
     witness = check_tree_compatible(g, table)
-    assert witness is not None
-    t1, t2, k = witness
-    assert k == 0  # already the first visited edge differs
+    assert_witness(table, witness)
+    assert witness[2] == 0  # already the first visited edge differs
     with pytest.raises(ValueError, match="not tree-compatible"):
         from_order_map(g, table)
 
@@ -111,17 +129,80 @@ def test_order_map_dead_branch_uses_smallest_unused(g4, order_map_table_g4):
     assert oracle.next_edge(("l", "l", "l")) == 3
 
 
-def test_order_map_match_choice_is_irrelevant(g4, order_map_table_g4):
-    oracle = from_order_map(g4, order_map_table_g4)
-    trees = gr.spanning_trees(g4)
-    for prefix in all_prefixes(4):
-        etas = [oracle.next_edge(prefix[:j]) for j in range(len(prefix))]
+def brute_force_answers(g, table):
+    """Every prefix's answer by scanning all trees, as the definition reads.
+
+    A tree matches a prefix when the earlier answers it contains sit exactly
+    at the right turns; all matching trees must agree on the next edge, and
+    a prefix no tree matches gets the smallest unused edge id.
+    """
+    trees = gr.spanning_trees(g)
+    etas = {(): []}   # prefix -> answers at its proper prefixes
+    answers = {}
+    for prefix in all_prefixes(g.edge_count()):
+        if prefix:
+            etas[prefix] = etas[prefix[:-1]] + [answers[prefix[:-1]]]
+        seen = etas[prefix]
         want = {j for j, d in enumerate(prefix) if d == "r"}
-        answers = set()
-        for t in trees:
-            if {j for j, e in enumerate(etas) if (t >> e) & 1} == want:
-                answers.add(order_map_table_g4[t][len(prefix)])
-        assert len(answers) <= 1
+        found = {table[t][len(prefix)] for t in trees
+                 if {j for j, e in enumerate(seen) if (t >> e) & 1} == want}
+        assert len(found) <= 1, (prefix, found)
+        answers[prefix] = (found.pop() if found
+                           else min(set(g.edge_ids) - set(seen)))
+    return answers
+
+
+def desk_order_maps():
+    """Compatible order maps on every sixth desk-corpus graph.
+
+    Per graph: the visit orders of two random oracles, and the marking-DFS
+    order map where the graph has no multiple edges.
+    """
+    for g in desk_graphs()[::6]:
+        trees = gr.spanning_trees(g)
+        for seed in range(2):
+            oracle = random_oracle(g, seed)
+            yield g, {t: delta_ordering(g, oracle, t) for t in trees}
+        try:
+            table = {t: dfs_order_map(g, t) for t in trees}
+        except ValueError:
+            continue  # multiple edges: no DFS order map
+        yield g, table
+
+
+def test_order_map_match_choice_is_irrelevant(g4, order_map_table_g4):
+    cases = [(g4, order_map_table_g4)] + list(desk_order_maps())
+    assert len(cases) > 110
+    for g, table in cases:
+        oracle = from_order_map(g, table)
+        for prefix, answer in brute_force_answers(g, table).items():
+            assert oracle.next_edge(prefix) == answer, (g, prefix)
+
+
+def test_incompatibility_witness_is_a_divergence():
+    rng = random.Random(2024)
+    rejected = 0
+    for g in desk_graphs()[::3]:
+        ids = list(g.edge_ids)
+        table = {t: rng.sample(ids, len(ids)) for t in gr.spanning_trees(g)}
+        witness = check_tree_compatible(g, table)
+        if witness is not None:
+            assert_witness(table, witness)
+            rejected += 1
+    assert rejected > 20
+
+
+def test_order_map_on_edge_ids_other_than_0_to_m_minus_1():
+    ids = (5, 7, 9)
+    moved = gr.Graph(3, [(5, 0, 1), (7, 1, 2), (9, 2, 0)])
+    plain = gr.Graph(3, [(0, 0, 1), (1, 1, 2), (2, 2, 0)])
+    oracle = from_order_map(moved, {t: ids for t in gr.spanning_trees(moved)})
+    reference = from_order_map(
+        plain, {t: (0, 1, 2) for t in gr.spanning_trees(plain)})
+    for prefix in all_prefixes(3):
+        assert oracle.next_edge(prefix) == ids[reference.next_edge(prefix)]
+    # no spanning tree avoids both 5 and 7: the branch falls back to 9
+    assert oracle.next_edge(("l", "l")) == 9
 
 
 def test_orderings_of_any_oracle_form_a_compatible_map():

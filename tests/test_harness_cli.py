@@ -240,3 +240,17 @@ def test_cli_missing_input_file(tmp_path, flag):
     out = run_cli("tutte", *args)
     assert _one_error_line(out) == \
         f"error: {missing}: No such file or directory"
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("embedding", "error: the embedding order map needs a map"),
+    ("blossoming", "error: the blossoming order map needs a map"),
+    ("bogus", "error: unknown oracle spec 'bogus'"),
+    ("random:x", "error: unknown oracle spec 'random:x'"),
+    ("linear:1,x", "error: unknown oracle spec 'linear:1,x'"),
+])
+def test_cli_bad_oracle_spec(spec, message):
+    out = run_cli("tutte", "--graph", G4, "--method", "activity",
+                  "--oracle", spec)
+    assert _one_error_line(out) == message
+    assert out.stdout == ""

@@ -43,12 +43,6 @@ def test_delcon_equals_definitional(name):
     assert tutte_delcon(g) == tutte_definitional(g)
 
 
-@pytest.mark.parametrize("name", ["parallel_triangle", "cycle4", "dfs_five"])
-def test_delcon_memoized_matches(name):
-    g = fixture_graph(name)
-    assert tutte_delcon(g, memoize=True) == tutte_delcon(g)
-
-
 def test_activity_route_with_fixture_tree(g4, d4):
     assert str(tutte_delta(g4, d4)) == GOLDEN_G4
 
