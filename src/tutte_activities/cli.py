@@ -45,14 +45,14 @@ def _load_inputs(args):
     has_graph = getattr(args, "graph", None)
     has_map = getattr(args, "map", None)
     if has_graph and has_map:
-        raise SystemExit("use --graph or --map, not both "
+        raise ValueError("use --graph or --map, not both "
                          "(a map provides its own graph)")
     if has_map:
         m = load_map(args.map)
         return m.underlying_graph(), m
     if has_graph:
         return load_graph_checked(args.graph), None
-    raise SystemExit("need --graph or --map")
+    raise ValueError("need --graph or --map")
 
 
 def load_graph_checked(path):
@@ -96,9 +96,7 @@ def _cmd_tutte(args):
             "connected": tutte_connected,
             "half": tutte_half,
             "forest-activity": tutte_forest_activity,
-        }.get(method)
-        if fn is None:
-            raise SystemExit(f"unknown method {method!r}")
+        }[method]
         poly = fn(g, oracle)
     print(poly)
 
@@ -161,13 +159,13 @@ def _partition_dot(g, parts):
     for idx, t in enumerate(trees):
         for member in parts[t].members():
             color[member] = idx % 12 + 1
-    m = g.edge_count()
+    subgraphs = list(gr.submasks(g.full_edge_set()))
     lines = ["graph subgraph_lattice {",
              '  node [style=filled colorscheme=set312];']
-    for mask in range(1 << m):
+    for mask in subgraphs:
         lines.append(f'  "{_format_edge_set(mask)}" '
                      f'[fillcolor={color[mask]}];')
-    for mask in range(1 << m):
+    for mask in subgraphs:
         for eid in g.edge_ids:
             if not (mask >> eid) & 1:
                 bigger = mask | (1 << eid)

@@ -141,8 +141,9 @@ class RandomOracle(DecisionOracle):
     every answer, making runs reproducible.
     """
 
-    def __init__(self, m, seed):
-        self.m = m
+    def __init__(self, edge_ids, seed):
+        self.edge_ids = tuple(sorted(edge_ids))
+        self.m = len(self.edge_ids)
         self.seed = seed
         self._memo = {}
 
@@ -152,7 +153,7 @@ class RandomOracle(DecisionOracle):
             return self._memo[prefix]
         self._check_prefix(prefix, self.m)
         used = {self.next_edge(prefix[:j]) for j in range(len(prefix))}
-        choices = [e for e in range(self.m) if e not in used]
+        choices = [e for e in self.edge_ids if e not in used]
         rng = random.Random(f"{self.seed}|{''.join(prefix)}")
         answer = rng.choice(choices)
         self._memo[prefix] = answer
@@ -176,7 +177,7 @@ def from_order_map(g: Graph, table):
 
 
 def random_oracle(g: Graph, seed):
-    return RandomOracle(g.edge_count(), seed)
+    return RandomOracle(g.edge_ids, seed)
 
 
 # -- tree-compatibility ----------------------------------------------------------

@@ -130,6 +130,16 @@ def popcount(mask):
     return bin(mask).count("1")
 
 
+def submasks(mask):
+    """Every submask of `mask`, in ascending order, 0 and `mask` included."""
+    s = 0
+    while True:
+        yield s
+        s = (s - mask) & mask
+        if not s:
+            return
+
+
 # -- component counting ----------------------------------------------------
 
 
@@ -246,8 +256,8 @@ def spanning_trees(g: Graph):
 
 def spanning_forests(g: Graph):
     """All spanning-forest edge sets (cyclomatic number zero), ascending."""
-    m = g.edge_count()
-    return [mask for mask in range(1 << m) if cycl(g, mask) == 0]
+    return [mask for mask in submasks(g.full_edge_set())
+            if cycl(g, mask) == 0]
 
 
 def tree_path(g: Graph, tree_mask: int, a: int, b: int):

@@ -11,7 +11,7 @@ boolean lattice of subgraphs by spanning trees.
 from __future__ import annotations
 
 from . import graph as gr
-from .engine import (TYPE_I, TYPE_L, TYPE_SI, active_mask, decision_walk,
+from .engine import (TYPE_I, TYPE_SI, active_mask, decision_walk,
                      forest_active, run_history, type_masks)
 
 MATERIALIZE_MAX_EDGES = 20
@@ -35,14 +35,8 @@ class SubgraphInterval:
         return 1 << gr.popcount(self.upper & ~self.lower)
 
     def members(self):
-        free = self.upper & ~self.lower
-        bits = gr.edge_ids(free)
-        for sub in range(1 << len(bits)):
-            mask = self.lower
-            for i, b in enumerate(bits):
-                if (sub >> i) & 1:
-                    mask |= 1 << b
-            yield mask
+        for s in gr.submasks(self.upper & ~self.lower):
+            yield self.lower | s
 
     def __eq__(self, other):
         return (isinstance(other, SubgraphInterval)
@@ -103,12 +97,17 @@ def class_table(g, oracle):
 
 
 def forest_partition_types(g, oracle):
-    """Map each spanning forest to [F, F + (type-L edges of F)]."""
+    """Map each spanning forest to [F, F + (type-L edges of F)].
+
+    The forests typed like the walk's leaf (T, I, E) are T minus any part of
+    I, and each has type-L edges E.  Forests come in ascending order.
+    """
     out = {}
-    for f in gr.spanning_forests(g):
-        masks = type_masks(run_history(g, oracle, f))
-        out[f] = SubgraphInterval(f, f | masks[TYPE_L])
-    return out
+    for t, internal, external in decision_walk(g, oracle):
+        for dropped in gr.submasks(internal):
+            f = t ^ dropped
+            out[f] = SubgraphInterval(f, f | external)
+    return dict(sorted(out.items()))
 
 
 def forest_partition_activity(g, oracle):

@@ -77,15 +77,9 @@ def decision_tree_activities(g):
 def _interval_bits(g, tree, psi):
     """Bitset over subgraph indices of the interval [T - psi, T + psi]."""
     lower = tree & ~psi
-    upper = tree | psi
-    free = gr.edge_ids(upper & ~lower)
     bits = 0
-    for sub in range(1 << len(free)):
-        mask = lower
-        for i, b in enumerate(free):
-            if (sub >> i) & 1:
-                mask |= 1 << b
-        bits |= 1 << mask
+    for s in gr.submasks(psi):
+        bits |= 1 << (lower | s)
     return bits
 
 

@@ -3,35 +3,37 @@
 Every route returns an exact BivariatePoly.  The subgraph-sum definition and
 the deletion/contraction recursion need no extra data; the remaining routes
 take a decision oracle (or a ready-made activity) and sum monomials over
-spanning trees, forests, connected subgraphs or all subgraphs.  The forest
-sums use base (x-1) on the component count; the single-isthmus graph forces
-that choice (a bare x base would give x+1 instead of x).
+spanning trees, forests, connected subgraphs or all subgraphs.  Each route
+tallies the exponents of its terms and expands the tally once.
+
+The oracle's subgraph sums read one walk of the decision tree.  The
+subgraphs typed like the leaf (T, I, E) are those of [T - I, T + E]: each
+types I as I, E as L, the rest of T as Si and every other edge as Se.  Its
+forests are [T - I, T], since an edge of E closes a cycle through T - I,
+and its connected subgraphs are [T, T + E], since an edge of I is an
+isthmus of what remains of them.  The forest sums use base (x-1) on the
+component count; the single-isthmus graph forces that choice (a bare x base
+would give x+1 instead of x).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from . import graph as gr
 from .classic import dfs_active
-from .engine import (TYPE_I, TYPE_L, decision_walk, forest_active,
-                     run_history, type_masks)
-from .poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
+from .engine import decision_walk, forest_active
+from .poly import BivariatePoly
 
 
 def tutte_definitional(g) -> BivariatePoly:
     """Sum (x-1)^(cc(S)-cc(G)) (y-1)^cycl(S) over all spanning subgraphs."""
     if not gr.is_connected(g):
         raise ValueError("graph must be connected")
-    m = g.edge_count()
-    counts = {}
-    for mask in range(1 << m):
-        key = (gr.cc(g, mask) - 1, gr.cycl(g, mask))
-        counts[key] = counts.get(key, 0) + 1
-    total = BivariatePoly.zero()
-    for (a, b), mult in sorted(counts.items()):
-        total = total + (x_minus_1_pow(a) * y_minus_1_pow(b)).scale(mult)
-    return total
+    tally = Counter((gr.cc(g, s) - 1, gr.cycl(g, s))
+                    for s in gr.submasks(g.full_edge_set()))
+    return BivariatePoly(tally).substitute_shift(-1, -1)
 
 
 def tutte_delcon(g) -> BivariatePoly:
@@ -58,49 +60,38 @@ def tutte_activity(g, activity) -> BivariatePoly:
 
     `activity` maps a spanning-tree mask to the (internal, external) pair.
     """
-    total = BivariatePoly.zero()
+    tally = Counter()
     for t in gr.spanning_trees(g):
         internal, external = activity(t)
-        total = total + BivariatePoly.monomial(gr.popcount(internal),
-                                               gr.popcount(external))
-    return total
+        tally[gr.popcount(internal), gr.popcount(external)] += 1
+    return BivariatePoly(tally)
 
 
 def tutte_delta(g, oracle) -> BivariatePoly:
     """The activity route: one monomial per leaf of the decision-tree walk."""
-    counts = {}
-    for _, internal, external in decision_walk(g, oracle):
-        key = (gr.popcount(internal), gr.popcount(external))
-        counts[key] = counts.get(key, 0) + 1
-    return BivariatePoly(counts)
-
-
-def _type_counts(g, oracle, mask):
-    masks = type_masks(run_history(g, oracle, mask))
-    return gr.popcount(masks[TYPE_I]), gr.popcount(masks[TYPE_L])
+    return BivariatePoly(Counter(
+        (gr.popcount(internal), gr.popcount(external))
+        for _, internal, external in decision_walk(g, oracle)))
 
 
 def tutte_forest(g, oracle) -> BivariatePoly:
     """Sum (x-1)^(cc(F)-1) y^(#type-L edges) over spanning forests."""
-    total = BivariatePoly.zero()
-    for f in gr.spanning_forests(g):
-        _, nl = _type_counts(g, oracle, f)
-        total = total + x_minus_1_pow(gr.cc(g, f) - 1) * \
-            BivariatePoly.monomial(0, nl)
-    return total
+    tally = Counter()
+    for t, internal, external in decision_walk(g, oracle):
+        nl = gr.popcount(external)
+        for dropped in gr.submasks(internal):
+            tally[gr.cc(g, t ^ dropped) - 1, nl] += 1
+    return BivariatePoly(tally).substitute_shift(-1, 0)
 
 
 def tutte_connected(g, oracle) -> BivariatePoly:
     """Sum x^(#type-I edges) (y-1)^cycl(K) over connected subgraphs."""
-    total = BivariatePoly.zero()
-    m = g.edge_count()
-    for mask in range(1 << m):
-        if gr.cc(g, mask) != 1:
-            continue
-        ni, _ = _type_counts(g, oracle, mask)
-        total = total + BivariatePoly.monomial(ni, 0) * \
-            y_minus_1_pow(gr.cycl(g, mask))
-    return total
+    tally = Counter()
+    for t, internal, external in decision_walk(g, oracle):
+        ni = gr.popcount(internal)
+        for added in gr.submasks(external):
+            tally[ni, gr.cycl(g, t | added)] += 1
+    return BivariatePoly(tally).substitute_shift(0, -1)
 
 
 def tutte_half(g, oracle) -> BivariatePoly:
@@ -109,35 +100,28 @@ def tutte_half(g, oracle) -> BivariatePoly:
     Individual terms have fractional coefficients; the total must come out
     with integer ones, which the callers assert against the other routes.
     """
-    total = BivariatePoly.zero()
-    m = g.edge_count()
-    half = {}
-    for mask in range(1 << m):
-        ni, nl = _type_counts(g, oracle, mask)
-        half[(ni, nl)] = half.get((ni, nl), 0) + 1
-    for (ni, nl), mult in sorted(half.items()):
-        coeff = Fraction(mult, 2 ** (ni + nl))
-        total = total + BivariatePoly.monomial(ni, nl, coeff)
-    return total
+    half = Counter()
+    for _, internal, external in decision_walk(g, oracle):
+        ni, nl = gr.popcount(internal), gr.popcount(external)
+        half[ni, nl] += 1 << (ni + nl)
+    return BivariatePoly({(ni, nl): Fraction(mult, 2 ** (ni + nl))
+                          for (ni, nl), mult in half.items()})
+
+
+def _forest_sum(g, active) -> BivariatePoly:
+    """Sum (x-1)^(cc(F)-1) y^|active(F)| over spanning forests."""
+    tally = Counter((gr.cc(g, f) - 1, gr.popcount(active(f)))
+                    for f in gr.spanning_forests(g))
+    return BivariatePoly(tally).substitute_shift(-1, 0)
 
 
 def tutte_forest_activity(g, oracle) -> BivariatePoly:
     """Sum (x-1)^(cc(F)-1) y^|active(F)| with the loop-at-visit forest rule."""
-    total = BivariatePoly.zero()
-    for f in gr.spanning_forests(g):
-        active = forest_active(g, oracle, f)
-        total = total + x_minus_1_pow(gr.cc(g, f) - 1) * \
-            BivariatePoly.monomial(0, gr.popcount(active))
-    return total
+    return _forest_sum(g, lambda f: forest_active(g, oracle, f))
 
 
 def tutte_dfs(g) -> BivariatePoly:
     """Sum (x-1)^(cc(F)-1) y^|DFS-active(F)| over spanning forests."""
     if not gr.is_connected(g):
         raise ValueError("graph must be connected")
-    total = BivariatePoly.zero()
-    for f in gr.spanning_forests(g):
-        active = dfs_active(g, f)
-        total = total + x_minus_1_pow(gr.cc(g, f) - 1) * \
-            BivariatePoly.monomial(0, gr.popcount(active))
-    return total
+    return _forest_sum(g, lambda f: dfs_active(g, f))

@@ -252,7 +252,7 @@ def test_oracles_answer_permutations_along_every_path(g4, seed):
 def test_random_oracle_scales_past_explicit_limit():
     # lazy oracles answer one path at a time, so the edge count may exceed
     # what an explicit tree could materialize
-    oracle = RandomOracle(40, seed=5)
+    oracle = RandomOracle(range(40), seed=5)
     prefix = tuple("lr"[i % 2] for i in range(39))
     answers = [oracle.next_edge(prefix[:k]) for k in range(40)]
     assert sorted(answers) == list(range(40))
@@ -262,7 +262,7 @@ def test_prefix_length_capped(g4, d4):
     with pytest.raises(ValueError):
         d4.next_edge(("l", "l", "l", "l"))
     with pytest.raises(ValueError):
-        RandomOracle(4, 0).next_edge(("l",) * 4)
+        RandomOracle(range(4), 0).next_edge(("l",) * 4)
 
 
 def test_sexpr_round_trip(d4):

@@ -254,3 +254,14 @@ def test_cli_bad_oracle_spec(spec, message):
                   "--oracle", spec)
     assert _one_error_line(out) == message
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("args,message", [
+    ((), "error: need --graph or --map"),
+    (("--graph", G4, "--map", str(map_path("parallel_triangle"))),
+     "error: use --graph or --map, not both (a map provides its own graph)"),
+])
+def test_cli_needs_exactly_one_input(args, message):
+    out = run_cli("tutte", "--method", "delcon", *args)
+    assert _one_error_line(out) == message
+    assert out.stdout == ""

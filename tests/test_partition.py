@@ -2,8 +2,9 @@ import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities.decision import from_linear_order, random_oracle
-from tutte_activities.engine import (active_mask, delta_activity,
-                                     run_history, type_masks)
+from tutte_activities.engine import (active_mask, decision_walk,
+                                     delta_activity, run_history, type_masks)
+from tutte_activities.harness import desk_corpus
 from tutte_activities.partition import (SubgraphInterval, class_table,
                                         equivalent, forest_partition_activity,
                                         forest_partition_types, interval_of,
@@ -211,3 +212,27 @@ def test_partition_on_ids_not_from_zero():
         1 << 5: (0, 1 << 5),
         1 << 7: (1 << 7, (1 << 5) | (1 << 7)),
     }
+
+
+def test_walk_leaves_fix_every_subgraph_history():
+    # The subgraphs typed like the leaf (T, I, E) are exactly those of
+    # [T - I, T + E]; each types T - I as Si, I as I, E as L, the rest Se.
+    for g in desk_corpus()[::3]:
+        full = g.full_edge_set()
+        for oracle in (from_linear_order(list(g.edge_ids)),
+                       random_oracle(g, 1)):
+            leaves = list(decision_walk(g, oracle))
+            for s in gr.submasks(full):
+                hosts = [(t, i, e) for t, i, e in leaves
+                         if s in SubgraphInterval(t & ~i, t | e)]
+                assert len(hosts) == 1, (g, s)
+                t, i, e = hosts[0]
+                assert type_masks(run_history(g, oracle, s)) == {
+                    "Si": t & ~i, "I": i, "L": e, "Se": full & ~(t | e)}, (
+                    g, s)
+            expected = {}
+            for f in gr.spanning_forests(g):
+                masks = type_masks(run_history(g, oracle, f))
+                expected[f] = SubgraphInterval(f, f | masks["L"])
+            parts = forest_partition_types(g, oracle)
+            assert parts == expected and list(parts) == list(expected), g

@@ -166,6 +166,21 @@ def test_delta_route_on_ids_not_from_zero():
     assert str(tutte_delta(double_edge, from_linear_order([5, 7]))) == "x + y"
 
 
+def test_every_route_on_ids_not_from_zero():
+    double_edge = gr.Graph(2, [(5, 0, 1), (7, 0, 1)])
+    assert str(tutte_definitional(double_edge)) == "x + y"
+    doubled_triangle = gr.Graph(3, [(5, 0, 1), (7, 1, 2), (9, 2, 0),
+                                    (11, 0, 1)])
+    reference = tutte_delcon(doubled_triangle)
+    assert str(reference) == GOLDEN_G4
+    assert tutte_definitional(doubled_triangle) == reference
+    for oracle in (from_linear_order([5, 7, 9, 11]),
+                   random_oracle(doubled_triangle, 1)):
+        for route in (tutte_delta, tutte_forest, tutte_connected, tutte_half,
+                      tutte_forest_activity):
+            assert route(doubled_triangle, oracle) == reference, route
+
+
 def test_delta_route_releases_the_oracle_without_gc(g4):
     # The walk must hold no reference cycle: a cycle would keep the oracle
     # and its memo alive until a full collection.
