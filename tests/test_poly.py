@@ -86,3 +86,12 @@ def test_integrality_predicates():
     assert BivariatePoly({(0, 0): 2}).has_nonnegative_integer_coefficients()
     assert not BivariatePoly({(0, 0): Fraction(1, 2)}).has_integer_coefficients()
     assert not BivariatePoly({(0, 0): -1}).has_nonnegative_integer_coefficients()
+
+
+def test_integral_coefficients_are_stored_as_int():
+    half = BivariatePoly({(1, 0): Fraction(1, 2), (0, 1): 3})
+    total = half + half
+    assert total == BivariatePoly({(1, 0): 1, (0, 1): 6})
+    assert all(type(c) is int for c in total.terms.values())
+    assert type(half.terms[1, 0]) is Fraction
+    assert total.machine_form() == "(1,0,1/1)\n(0,1,6/1)"
