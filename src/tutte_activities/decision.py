@@ -5,7 +5,9 @@ whose node labels along every root-to-leaf path form a permutation of the
 edge set.  Oracles expose only the behavioural view: a function from a
 direction sequence (the path walked so far) to the next edge.  Explicit
 materialization is exponential, so only trees with m <= 16 may be built
-eagerly; everything else answers lazily per queried path.
+eagerly; everything else answers lazily per queried path.  Every oracle
+but the linear one answers from one table of direction prefixes
+(`DecisionOracle.next_edge`); subclasses differ only in how they fill it.
 """
 
 from __future__ import annotations
@@ -21,17 +23,44 @@ EXPLICIT_TREE_MAX_EDGES = 16
 
 
 class DecisionOracle:
-    """Base interface: next_edge(prefix of directions) -> edge id.
+    """A decision tree as a table: direction prefix -> next edge.
 
-    Implementations must be pure: the same prefix always yields the same
-    edge, and the answers along any root-to-leaf path are pairwise distinct.
+    `next_edge` answers a prefix in the table by lookup.  A missing prefix is
+    checked once, answered by `choose` from the edges not yet on its path,
+    and remembered, so the same prefix always yields the same edge and the
+    answers along any root-to-leaf path are pairwise distinct.  This base
+    class serves a complete table; subclasses fill theirs lazily.
     """
 
-    def next_edge(self, prefix):
-        raise NotImplementedError
+    def __init__(self, edge_ids, table=None):
+        self.edge_ids = tuple(sorted(set(edge_ids)))
+        self.m = len(self.edge_ids)
+        self.table = {} if table is None else table
 
-    def _check_prefix(self, prefix, m):
-        if len(prefix) >= m:
+    def next_edge(self, prefix):
+        table = self.table
+        try:
+            return table[prefix]
+        except (KeyError, TypeError):  # a new prefix, or one given as a list
+            prefix = tuple(prefix)
+        answer = table.get(prefix)
+        if answer is None:
+            self._check_prefix(prefix)
+            used = set()
+            for j in range(len(prefix)):
+                above = table.get(prefix[:j])
+                used.add(self.next_edge(prefix[:j]) if above is None else above)
+            answer = self.choose(prefix, [e for e in self.edge_ids
+                                          if e not in used])
+            table[prefix] = answer
+        return answer
+
+    def choose(self, prefix, unused):
+        """The edge for a prefix the table lacks, from the unused ids."""
+        raise ValueError(f"no edge for prefix {''.join(prefix)!r}")
+
+    def _check_prefix(self, prefix):
+        if len(prefix) >= self.m:
             raise ValueError("direction sequence at least as long as the edge count")
         for d in prefix:
             if d not in (LEFT, RIGHT):
@@ -42,50 +71,45 @@ class ExplicitTreeOracle(DecisionOracle):
     """Oracle backed by a fully materialized tree.
 
     Nodes are nested tuples (label, left, right); leaves are (label, None,
-    None).  Construction checks depth and the per-path permutation property.
+    None).  Construction checks depth and the per-path permutation property
+    and writes every node into the table.
     """
 
     def __init__(self, root_node, edge_ids):
-        self.edge_ids = frozenset(edge_ids)
-        self.m = len(self.edge_ids)
+        super().__init__(edge_ids)
         if self.m > EXPLICIT_TREE_MAX_EDGES:
             raise ValueError(
                 f"explicit trees are limited to {EXPLICIT_TREE_MAX_EDGES} edges")
         self.root = root_node
-        self._validate(root_node, set(), 0)
+        self._validate(root_node, set(), ())
 
-    def _validate(self, node, used, depth):
+    def _validate(self, node, used, prefix):
         label, left, right = node
         if label not in self.edge_ids:
             raise ValueError(f"unknown edge label {label!r}")
         if label in used:
             raise ValueError(f"edge {label} repeated along a path")
         used.add(label)
+        self.table[prefix] = label
         if left is None and right is None:
-            if depth != self.m - 1:
+            if len(prefix) != self.m - 1:
                 raise ValueError("leaf at wrong depth")
         elif left is None or right is None:
             raise ValueError("node must have zero or two children")
         else:
-            if depth >= self.m - 1:
+            if len(prefix) >= self.m - 1:
                 raise ValueError("tree deeper than the edge count")
-            self._validate(left, used, depth + 1)
-            self._validate(right, used, depth + 1)
+            self._validate(left, used, prefix + (LEFT,))
+            self._validate(right, used, prefix + (RIGHT,))
         used.discard(label)
-
-    def next_edge(self, prefix):
-        self._check_prefix(prefix, self.m)
-        node = self.root
-        for d in prefix:
-            node = node[1] if d == LEFT else node[2]
-        return node[0]
 
 
 class LinearOrderOracle(DecisionOracle):
     """Level-constant oracle: at depth k it answers the (m-k)-th edge.
 
     Directions are ignored entirely, so every visit order is the reverse of
-    the given linear order.
+    the given linear order.  Nothing is tabled: a walk never asks one prefix
+    twice, and the depth alone gives the answer.
     """
 
     def __init__(self, order):
@@ -96,14 +120,14 @@ class LinearOrderOracle(DecisionOracle):
         self.m = len(order)
 
     def next_edge(self, prefix):
-        self._check_prefix(prefix, self.m)
+        self._check_prefix(prefix)
         return self.order[self.m - 1 - len(prefix)]
 
 
 class OrderMapOracle(DecisionOracle):
     """Lazy oracle realizing a tree-compatible order map.
 
-    The map is read into a trie once (see `order_map_trie`): every prefix
+    The map is read into the table once (see `order_map_trie`): every prefix
     some spanning tree walks is answered by lookup.  Tree-compatibility
     makes that answer independent of the tree that put it there; branches
     walked by no tree fall back to the smallest unused edge id, which keeps
@@ -111,53 +135,31 @@ class OrderMapOracle(DecisionOracle):
     """
 
     def __init__(self, g: Graph, table):
-        self.edge_ids = g.edge_ids
-        self.m = g.edge_count()
-        self.trie, witness = order_map_trie(g, table)
+        trie, witness = order_map_trie(g, table)
         if witness is not None:
             t1, t2, k = witness
             raise ValueError(
                 f"order map is not tree-compatible: trees {t1:#x} and {t2:#x} "
                 f"agree up to step {k} but diverge")
+        super().__init__(g.edge_ids, trie)
 
-    def next_edge(self, prefix):
-        prefix = tuple(prefix)
-        answer = self.trie.get(prefix)
-        if answer is None:
-            self._check_prefix(prefix, self.m)
-            used = set()
-            for j in range(len(prefix) + 1):
-                answer = self.trie.get(prefix[:j])
-                if answer is None:
-                    answer = min(e for e in self.edge_ids if e not in used)
-                used.add(answer)
-        return answer
+    def choose(self, prefix, unused):
+        return unused[0]
 
 
 class RandomOracle(DecisionOracle):
     """Seeded lazy oracle: uniform unused edge at every node.
 
-    Memoized per prefix so repeated queries agree; the seed alone determines
-    every answer, making runs reproducible.
+    Each prefix seeds its own generator from the seed and the directions, so
+    the seed alone determines every answer, making runs reproducible.
     """
 
     def __init__(self, edge_ids, seed):
-        self.edge_ids = tuple(sorted(edge_ids))
-        self.m = len(self.edge_ids)
+        super().__init__(edge_ids)
         self.seed = seed
-        self._memo = {}
 
-    def next_edge(self, prefix):
-        prefix = tuple(prefix)
-        if prefix in self._memo:
-            return self._memo[prefix]
-        self._check_prefix(prefix, self.m)
-        used = {self.next_edge(prefix[:j]) for j in range(len(prefix))}
-        choices = [e for e in self.edge_ids if e not in used]
-        rng = random.Random(f"{self.seed}|{''.join(prefix)}")
-        answer = rng.choice(choices)
-        self._memo[prefix] = answer
-        return answer
+    def choose(self, prefix, unused):
+        return random.Random(f"{self.seed}|{''.join(prefix)}").choice(unused)
 
 
 # -- builders ------------------------------------------------------------------
@@ -183,16 +185,6 @@ def random_oracle(g: Graph, seed):
 # -- tree-compatibility ----------------------------------------------------------
 
 
-def check_order_map_table(g: Graph, table):
-    """Validate the table: one full edge permutation per spanning tree."""
-    ids = set(g.edge_ids)
-    for t in spanning_trees(g):
-        if t not in table:
-            raise ValueError(f"order map table is missing tree {t:#x}")
-        if set(table[t]) != ids or len(table[t]) != len(ids):
-            raise ValueError(f"entry for tree {t:#x} is not an edge permutation")
-
-
 def order_map_trie(g: Graph, table):
     """Read an order map into one trie; return (trie, witness).
 
@@ -204,10 +196,16 @@ def order_map_trie(g: Graph, table):
     (first tree there, t, k): the two orders agree on their first k edges,
     which lie in both trees or in neither, and differ at position k.
     """
-    check_order_map_table(g, table)
+    trees = spanning_trees(g)
+    ids = set(g.edge_ids)
+    for t in trees:
+        if t not in table:
+            raise ValueError(f"order map table is missing tree {t:#x}")
+        if set(table[t]) != ids or len(table[t]) != len(ids):
+            raise ValueError(f"entry for tree {t:#x} is not an edge permutation")
     trie = {}
     owner = {}
-    for t in spanning_trees(g):
+    for t in trees:
         prefix = ()
         for k, e in enumerate(table[t]):
             known = trie.get(prefix)

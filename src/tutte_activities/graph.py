@@ -83,27 +83,6 @@ class Graph:
     def __repr__(self):
         return f"Graph({self.vertex_count}, {list(self.edges)!r})"
 
-    def is_simple(self):
-        """No parallel edges; loops are allowed."""
-        seen = set()
-        for _, u, v in self.edges:
-            if u != v:
-                key = (min(u, v), max(u, v))
-                if key in seen:
-                    return False
-                seen.add(key)
-        return True
-
-    def neighbors(self, v):
-        """Adjacent vertices of v (via non-loop edges), with edge ids."""
-        out = []
-        for eid, a, b in self.edges:
-            if a == v and b != v:
-                out.append((b, eid))
-            elif b == v and a != v:
-                out.append((a, eid))
-        return out
-
 
 # -- edge-set helpers ------------------------------------------------------
 

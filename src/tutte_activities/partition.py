@@ -73,7 +73,7 @@ def partition(g, oracle):
 
 
 def class_table(g, oracle):
-    """Array over subgraph masks: index of the class tree (or -1).
+    """(trees, table): table maps each subgraph mask to its class tree's index.
 
     Materialized assignment of every subgraph to its interval; capped to
     keep the table size sane.
@@ -85,13 +85,13 @@ def class_table(g, oracle):
             "use representative_tree for point queries")
     parts = partition(g, oracle)
     trees = sorted(parts)
-    table = [-1] * (1 << m)
+    table = {}
     for idx, t in enumerate(trees):
         for member in parts[t].members():
-            if table[member] != -1:
+            if member in table:
                 raise AssertionError("intervals overlap")
             table[member] = idx
-    if any(x == -1 for x in table):
+    if len(table) != 1 << m:
         raise AssertionError("intervals do not cover the subgraph lattice")
     return trees, table
 

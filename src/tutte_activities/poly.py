@@ -124,9 +124,6 @@ class BivariatePoly:
 
     # -- queries -------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def has_integer_coefficients(self):
         return all(c.denominator == 1 for c in self.terms.values())
 

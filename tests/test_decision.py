@@ -286,3 +286,47 @@ def test_concurrent_queries_are_consistent(g4):
         answers = list(pool.map(oracle.next_edge, prefixes))
     reference = {p: oracle.next_edge(p) for p in set(prefixes)}
     assert all(a == reference[p] for p, a in zip(prefixes, answers))
+
+
+# Answers on every prefix, in `all_prefixes(4)` order, recorded from the
+# memo-based oracles that preceded the shared prefix table; a changed value
+# means an oracle now answers differently.
+PINNED_RANDOM = {
+    ("g4", 0): (3, 2, 0, 1, 0, 2, 1, 0, 0, 1, 1, 1, 1, 2, 2),
+    ("g4", 1): (3, 2, 1, 1, 1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0),
+    ("g4", 2): (1, 0, 3, 3, 3, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0),
+    ("moved", 0): (11, 9, 5, 7, 5, 9, 7, 5, 5, 7, 7, 7, 7, 9, 9),
+    ("moved", 1): (11, 9, 7, 7, 7, 9, 9, 5, 5, 5, 5, 5, 5, 5, 5),
+    ("moved", 2): (7, 5, 11, 11, 11, 5, 9, 9, 9, 9, 9, 9, 9, 5, 5),
+}
+PINNED_D4 = (2, 1, 3, 0, 0, 1, 0, 3, 3, 3, 3, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_RANDOM))
+def test_random_oracle_answers_are_pinned(g4, name, seed):
+    g = g4 if name == "g4" else gr.Graph(
+        3, [(5, 0, 1), (7, 1, 2), (9, 2, 0), (11, 0, 1)])
+    prefixes = all_prefixes(4)
+    want = PINNED_RANDOM[name, seed]
+    # shallow-first and deep-first queries give the same answers
+    assert tuple(random_oracle(g, seed).next_edge(p) for p in prefixes) == want
+    deep_first = random_oracle(g, seed)
+    answers = {p: deep_first.next_edge(p) for p in reversed(prefixes)}
+    assert tuple(answers[p] for p in prefixes) == want
+
+
+def test_explicit_and_order_map_answers_are_pinned(g4, d4, order_map_table_g4):
+    prefixes = all_prefixes(4)
+    assert tuple(d4.next_edge(p) for p in prefixes) == PINNED_D4
+    oracle = from_order_map(g4, order_map_table_g4)
+    # the deepest fallback first: its ancestor ("l", "l") falls back too
+    assert oracle.next_edge(("l", "l", "l")) == 3
+    assert oracle.next_edge(("l", "l")) == 0
+    assert tuple(oracle.next_edge(p) for p in prefixes) == PINNED_D4
+    assert oracle.table[("l", "l")] == 0  # fallback answers are remembered
+
+
+def test_prefixes_may_be_lists(d4):
+    assert d4.next_edge(["r", "l"]) == d4.next_edge(("r", "l")) == 1
+    with pytest.raises(ValueError, match="bad direction"):
+        d4.next_edge(["x"])

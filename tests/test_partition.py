@@ -236,3 +236,13 @@ def test_walk_leaves_fix_every_subgraph_history():
                 expected[f] = SubgraphInterval(f, f | masks["L"])
             parts = forest_partition_types(g, oracle)
             assert parts == expected and list(parts) == list(expected), g
+
+
+def test_class_table_on_ids_not_from_zero():
+    g = gr.Graph(3, [(5, 0, 1), (7, 1, 2), (9, 2, 0), (11, 0, 1)])
+    oracle = random_oracle(g, 1)
+    trees, table = class_table(g, oracle)
+    members = list(gr.submasks(g.full_edge_set()))
+    assert sorted(table) == members
+    for s in members:
+        assert trees[table[s]] == representative_tree(g, oracle, s)

@@ -36,10 +36,10 @@ def test_budget_guard(g4):
 
 
 def test_decision_function_enumeration_counts():
-    assert sum(1 for _ in _enumerate_decision_functions(1)) == 1
-    assert sum(1 for _ in _enumerate_decision_functions(2)) == 2
-    assert sum(1 for _ in _enumerate_decision_functions(3)) == 12
-    assert sum(1 for _ in _enumerate_decision_functions(4)) == 576
+    assert sum(1 for _ in _enumerate_decision_functions(range(1))) == 1
+    assert sum(1 for _ in _enumerate_decision_functions(range(2))) == 2
+    assert sum(1 for _ in _enumerate_decision_functions(range(3))) == 12
+    assert sum(1 for _ in _enumerate_decision_functions(range(4))) == 576
 
 
 def test_doubled_triangle_scan_findings(g4, d4):
@@ -106,3 +106,27 @@ def test_scan_is_deterministic(g4):
     b = conjecture_scan(g4)
     assert a.survivors == b.survivors
     assert a.text() == b.text()
+
+
+def test_scan_on_ids_not_from_zero():
+    # the doubled triangle with ids {5, 7, 9, 11} reports what it reports on
+    # ids 0..3, read through the relabelling (which keeps the mask order)
+    ids = (5, 7, 9, 11)
+    ends = ((0, 1), (1, 2), (2, 0), (0, 1))
+    plain = gr.Graph(3, [(i, u, v) for i, (u, v) in enumerate(ends)])
+    moved = gr.Graph(3, [(e, u, v) for e, (u, v) in zip(ids, ends)])
+
+    def relabel(vector):
+        return tuple(gr.edge_set(ids[i] for i in gr.edge_ids(psi))
+                     for psi in vector)
+
+    a, b = conjecture_scan(plain), conjecture_scan(moved)
+    assert len(b.survivors) == 48
+    assert len(b.conjecture1_counterexamples) == 8
+    assert len(b.conjecture2_counterexamples) == 8
+    assert not b.not_descriptive
+    assert b.survivors == [relabel(v) for v in a.survivors]
+    assert b.conjecture1_counterexamples == \
+        [relabel(v) for v in a.conjecture1_counterexamples]
+    assert decision_tree_activities(moved) == \
+        {relabel(v) for v in decision_tree_activities(plain)}
