@@ -72,7 +72,10 @@ def _make_oracle(spec, g, m):
     kind, _, arg = spec.partition(":")
     ids = arg.split(",")
     if kind == "linear" and all(t.isdecimal() for t in ids):
-        return from_linear_order([int(t) for t in ids])
+        order = [int(t) for t in ids]
+        if sorted(order) != sorted(g.edge_ids):
+            raise ValueError("order must be a permutation of the edges")
+        return from_linear_order(order)
     if kind == "random" and arg.removeprefix("-").isdecimal():
         return random_oracle(g, int(arg))
     if kind == "file" and arg:

@@ -1,16 +1,24 @@
 """Exact sparse bivariate polynomials with rational coefficients.
 
 Terms are stored as a map from (x_exponent, y_exponent) to a nonzero
-coefficient: an int when it is integral, else a Fraction.  Rational (not
-just integer) coefficients are needed because one of the subgraph
-expansions sums powers of x/2 and y/2; integrality of the final result is
-asserted by the callers, never assumed here.
+coefficient: an int when it is integral, else a Fraction.  Every library
+route builds integer polynomials, and integer arithmetic stays in int;
+fractions come only from callers (the tests' half-weight sums, say).
+Integrality of a result is asserted by the callers, never assumed here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class BivariatePoly:
@@ -24,9 +32,9 @@ class BivariatePoly:
             for (i, j), c in dict(terms).items():
                 if i < 0 or j < 0:
                     raise ValueError("exponents must be non-negative")
-                c = Fraction(c)
-                if c != 0:
-                    clean[(i, j)] = c.numerator if c.denominator == 1 else c
+                c = _exact(c)
+                if c:
+                    clean[(i, j)] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -50,14 +58,6 @@ class BivariatePoly:
     def monomial(cls, x_exp, y_exp, coeff=1):
         return cls({(x_exp, y_exp): coeff})
 
-    @classmethod
-    def x(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def y(cls):
-        return cls({(0, 1): 1})
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -65,16 +65,13 @@ class BivariatePoly:
             return NotImplemented
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
+            terms[k] = terms.get(k, 0) + c
         return BivariatePoly(terms)
 
     def __sub__(self, other):
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) - c
-        return BivariatePoly(terms)
+        return self + -other
 
     def __neg__(self):
         return BivariatePoly({k: -c for k, c in self.terms.items()})
@@ -86,12 +83,12 @@ class BivariatePoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                terms[k] = terms.get(k, Fraction(0)) + c1 * c2
+                terms[k] = terms.get(k, 0) + c1 * c2
         return BivariatePoly(terms)
 
     def scale(self, c):
         """Multiply every coefficient by the rational scalar c."""
-        c = Fraction(c)
+        c = _exact(c)
         return BivariatePoly({k: v * c for k, v in self.terms.items()})
 
     def __pow__(self, n):
@@ -104,8 +101,7 @@ class BivariatePoly:
 
     def substitute_shift(self, dx, dy):
         """Return p(x + dx, y + dy), expanded binomially."""
-        dx = Fraction(dx)
-        dy = Fraction(dy)
+        dx, dy = _exact(dx), _exact(dy)
         terms = {}
         for (i, j), c in self.terms.items():
             for a in range(i + 1):
@@ -113,14 +109,12 @@ class BivariatePoly:
                 for b in range(j + 1):
                     yc = comb(j, b) * dy ** (j - b)
                     k = (a, b)
-                    terms[k] = terms.get(k, Fraction(0)) + c * xc * yc
+                    terms[k] = terms.get(k, 0) + c * xc * yc
         return BivariatePoly(terms)
 
     def evaluate(self, x, y):
-        x = Fraction(x)
-        y = Fraction(y)
-        return sum((c * x**i * y**j for (i, j), c in self.terms.items()),
-                   Fraction(0))
+        x, y = _exact(x), _exact(y)
+        return sum(c * x**i * y**j for (i, j), c in self.terms.items())
 
     # -- queries -------------------------------------------------------
 

@@ -12,6 +12,8 @@ never asserted absent.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import graph as gr
 from .decision import DecisionOracle
 from .engine import decision_walk
@@ -19,7 +21,7 @@ from .poly import BivariatePoly
 from .tutte import tutte_definitional
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(ValueError):
     pass
 
 
@@ -168,10 +170,9 @@ def conjecture_scan(g, budget=2 ** 22) -> ScanReport:
     reference = tutte_definitional(g)
     not_descriptive = []
     for vector in survivors:
-        total = BivariatePoly.zero()
-        for t, psi in zip(trees, vector):
-            total = total + BivariatePoly.monomial(
-                gr.popcount(psi & t), gr.popcount(psi & ~t))
+        total = BivariatePoly(Counter(
+            (gr.popcount(psi & t), gr.popcount(psi & ~t))
+            for t, psi in zip(trees, vector)))
         if total != reference:
             not_descriptive.append(vector)
 

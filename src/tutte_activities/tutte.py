@@ -41,19 +41,21 @@ def tutte_delcon(g) -> BivariatePoly:
     """Deletion/contraction recursion pivoting on the smallest edge id."""
     if not gr.is_connected(g):
         raise ValueError("graph must be connected")
+    tally = Counter()
 
-    def rec(h):
+    def rec(h, isthmuses, loops):
         if h.edge_count() == 0:
-            return BivariatePoly.one()
+            tally[isthmuses, loops] += 1
+            return
         eid = h.edges[0][0]
         kind = gr.classify_edge(h, eid)
-        if kind == gr.LOOP:
-            return BivariatePoly.y() * rec(gr.delete(h, eid))
-        if kind == gr.ISTHMUS:
-            return BivariatePoly.x() * rec(gr.contract(h, eid))
-        return rec(gr.delete(h, eid)) + rec(gr.contract(h, eid))
+        if kind != gr.ISTHMUS:  # a loop is only deleted
+            rec(gr.delete(h, eid), isthmuses, loops + (kind == gr.LOOP))
+        if kind != gr.LOOP:  # an isthmus only contracted
+            rec(gr.contract(h, eid), isthmuses + (kind == gr.ISTHMUS), loops)
 
-    return rec(g)
+    rec(g, 0, 0)
+    return BivariatePoly(tally)
 
 
 def tutte_activity(g, activity) -> BivariatePoly:

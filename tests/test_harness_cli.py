@@ -223,6 +223,13 @@ def _one_error_line(out):
     return lines[0]
 
 
+def test_cli_conjecture_scan_over_budget():
+    out = run_cli("conjecture-scan", "--graph", G4, "--budget", "10")
+    assert _one_error_line(out) == \
+        "error: 1048576 candidate activities exceed budget 10"
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["history", "activity"])
 def test_cli_rejects_edge_id_not_in_graph(command):
     out = run_cli(command, "--graph", str(graph_path("triangle")),
@@ -266,6 +273,8 @@ def test_cli_missing_input_file(tmp_path, flag):
     ("bogus", "error: unknown oracle spec 'bogus'"),
     ("random:x", "error: unknown oracle spec 'random:x'"),
     ("linear:1,x", "error: unknown oracle spec 'linear:1,x'"),
+    ("linear:5,0,1,2,3", "error: order must be a permutation of the edges"),
+    ("linear:0", "error: order must be a permutation of the edges"),
 ])
 def test_cli_bad_oracle_spec(spec, message):
     out = run_cli("tutte", "--graph", G4, "--method", "activity",

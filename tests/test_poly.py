@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from tutte_activities import poly
+from tutte_activities.decision import from_linear_order
 from tutte_activities.poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
+from tutte_activities.tutte import (tutte_definitional, tutte_delcon,
+                                    tutte_delta, tutte_forest_activity)
 
 
 def test_square_of_x_minus_1():
@@ -62,6 +66,10 @@ def test_shift_expands_binomially():
     p = BivariatePoly.monomial(2, 0)  # x^2 at x -> x+1 gives (x+1)^2
     assert p.substitute_shift(1, 0) == BivariatePoly(
         {(2, 0): 1, (1, 0): 2, (0, 0): 1})
+    p = BivariatePoly({(2, 1): 1, (1, 0): 3})  # x^2*y + 3*x at x -> x+1/2
+    assert p.substitute_shift(Fraction(1, 2), 0) == BivariatePoly({
+        (2, 1): 1, (1, 1): 1, (0, 1): Fraction(1, 4),
+        (1, 0): 3, (0, 0): Fraction(3, 2)})
 
 
 def test_machine_form_round_trip():
@@ -95,3 +103,35 @@ def test_integral_coefficients_are_stored_as_int():
     assert all(type(c) is int for c in total.terms.values())
     assert type(half.terms[1, 0]) is Fraction
     assert total.machine_form() == "(1,0,1/1)\n(0,1,6/1)"
+    two = BivariatePoly({(0, 0): Fraction(4, 2)}).terms[0, 0]
+    assert two == 2 and type(two) is int
+    half = BivariatePoly({(0, 0): 0.5}).terms[0, 0]
+    assert half == Fraction(1, 2) and type(half) is Fraction
+
+
+def test_integer_path_makes_no_fraction(monkeypatch, g4):
+    def no_fraction(*args):
+        raise AssertionError("Fraction called on an integer path")
+
+    monkeypatch.setattr(poly, "Fraction", no_fraction)
+    oracle = from_linear_order(g4.edge_ids)
+    for result in (tutte_definitional(g4), tutte_delcon(g4),
+                   tutte_delta(g4, oracle), tutte_forest_activity(g4, oracle)):
+        assert str(result) == "x^2 + x*y + x + y^2 + y"
+        assert all(type(c) is int for c in result.terms.values())
+    p = BivariatePoly({(1, 0): 1, (0, 1): 2, (0, 0): -1})  # x + 2*y - 1
+    q = BivariatePoly({(1, 1): 1, (0, 0): 3})  # x*y + 3
+    cases = [
+        (p + q, {(1, 1): 1, (1, 0): 1, (0, 1): 2, (0, 0): 2}),
+        (p - q, {(1, 1): -1, (1, 0): 1, (0, 1): 2, (0, 0): -4}),
+        (p * q, {(2, 1): 1, (1, 2): 2, (1, 1): -1, (1, 0): 3, (0, 1): 6,
+                 (0, 0): -3}),
+        (p ** 2, {(2, 0): 1, (1, 1): 4, (0, 2): 4, (1, 0): -2, (0, 1): -4,
+                  (0, 0): 1}),
+        (p.substitute_shift(-1, -1), {(1, 0): 1, (0, 1): 2, (0, 0): -4}),
+        (q.substitute_shift(-1, -1), {(1, 1): 1, (1, 0): -1, (0, 1): -1,
+                                      (0, 0): 4}),
+    ]
+    for result, terms in cases:
+        assert result.terms == terms
+        assert all(type(c) is int for c in result.terms.values())
