@@ -236,51 +236,55 @@ def _require_dfs_graph(g):
 
 
 class DfsRun:
-    """DFS transcript: forest mask, vertex visit order, parent links."""
+    """DFS transcript: forest mask, vertex visit order, parent links, and
+    every edge id in first-visit order."""
 
-    def __init__(self, forest_mask, vertex_order, parent):
+    def __init__(self, forest_mask, vertex_order, parent, edge_order):
         self.forest_mask = forest_mask
         self.vertex_order = vertex_order
         self.parent = parent  # vertex -> (parent vertex, edge id) or None
+        self.edge_order = edge_order
 
 
 def dfs_run(g, subgraph_mask) -> DfsRun:
-    """Greatest-neighbor DFS of the subgraph, restarting at least vertices."""
+    """The marking greatest-neighbor DFS, restarting at least vertices.
+
+    Each vertex scans its incident edges by descending (neighbor, id) and
+    marks those not yet marked; the search moves along an edge exactly when
+    the edge lies in the subgraph and reaches an unvisited vertex.
+    """
     _require_dfs_graph(g)
-    n = g.vertex_count
-    adj = {v: [] for v in range(n)}
+    incident = [[] for _ in range(g.vertex_count)]
     for eid, u, v in g.edges:
-        if (subgraph_mask >> eid) & 1 and u != v:
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-    visited = [False] * n
-    order = []
-    parent = {}
+        incident[u].append((v, eid))
+        if u != v:
+            incident[v].append((u, eid))
+    for edges in incident:
+        edges.sort(reverse=True)
+    parent = {}  # in visit order
+    marked = set()
+    edge_order = []
     forest = 0
-    while not all(visited):
-        v0 = visited.index(False)
-        visited[v0] = True
-        order.append(v0)
-        parent[v0] = None
-        while True:
-            v = None
-            for w in reversed(order):
-                if any(not visited[u] for u, _ in adj[w]):
-                    v = w
+    for root in range(g.vertex_count):
+        if root in parent:
+            continue
+        parent[root] = None
+        stack = [(root, iter(incident[root]))]
+        while stack:
+            v, edges = stack[-1]
+            for u, eid in edges:
+                if eid in marked:
+                    continue
+                marked.add(eid)
+                edge_order.append(eid)
+                if (subgraph_mask >> eid) & 1 and u not in parent:
+                    parent[u] = (v, eid)
+                    forest |= 1 << eid
+                    stack.append((u, iter(incident[u])))
                     break
-            if v is None:
-                break
-            while True:
-                cands = [(u, eid) for u, eid in adj[v] if not visited[u]]
-                if not cands:
-                    break
-                u, eid = max(cands)
-                visited[u] = True
-                order.append(u)
-                parent[u] = (v, eid)
-                forest |= 1 << eid
-                v = u
-    return DfsRun(forest, order, parent)
+            else:
+                stack.pop()
+    return DfsRun(forest, list(parent), parent, edge_order)
 
 
 def dfs_forest(g, subgraph_mask) -> int:
@@ -341,42 +345,7 @@ def dfs_order_map(g, subgraph_mask):
     internal edges; external edges are marked in passing.  The result is a
     permutation of the edge ids.
     """
-    _require_dfs_graph(g)
-    n = g.vertex_count
-    incident = {v: [] for v in range(n)}
-    for eid, u, v in g.edges:
-        incident[u].append((v, eid))
-        if u != v:
-            incident[v].append((u, eid))
-    visited_v = [False] * n
-    visited_e = set()
-    vorder = []
-    out = []
-    while not all(visited_v):
-        v0 = visited_v.index(False)
-        visited_v[v0] = True
-        vorder.append(v0)
-        while True:
-            v = None
-            for w in reversed(vorder):
-                if any(eid not in visited_e for _, eid in incident[w]):
-                    v = w
-                    break
-            if v is None:
-                break
-            while True:
-                cands = [(u, eid) for u, eid in incident[v]
-                         if eid not in visited_e]
-                if not cands:
-                    break
-                u, eid = max(cands)
-                visited_e.add(eid)
-                out.append(eid)
-                if (subgraph_mask >> eid) & 1 and not visited_v[u]:
-                    visited_v[u] = True
-                    vorder.append(u)
-                    v = u
-    return out
+    return dfs_run(g, subgraph_mask).edge_order
 
 
 # -- the classical families as order-map oracles -------------------------------

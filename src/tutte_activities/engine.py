@@ -19,6 +19,8 @@ flag settings produce the same types.
 node.  It branches only at standard edges, where deletion and contraction
 both lead on; loops and isthmuses have one way forward.  Its leaves are
 exactly the spanning trees, and the path to a leaf is that tree's history.
+`forest_walk` is its never-deleting twin: it branches at every non-loop, so
+its leaves are the spanning forests, each with its `forest_active` set.
 
 Types use the four tags Se (standard external), L (loop at visit), Si
 (standard internal), I (isthmus at visit).  An edge typed L or I is active;
@@ -169,6 +171,30 @@ def decision_walk(g, oracle):
                 internal |= bit
                 prefix += (RIGHT,)
         yield contracted | internal, internal, external
+
+
+def forest_walk(g, oracle):
+    """Yield (forest, forest_active(forest)) for every spanning forest.
+
+    Nothing is deleted: a loop at its visit is active and steers left, and
+    every other edge branches, out of the forest (left) or contracted (right).
+    """
+    minor = _connected_minor(g)
+    m = g.edge_count()
+    # (prefix, contracted, typed, active)
+    stack = [((), 0, 0, 0)]
+    while stack:
+        prefix, contracted, typed, active = stack.pop()
+        while len(prefix) < m:
+            eid, bit, kind = minor.visit(oracle, prefix, typed, contracted, 0)
+            typed |= bit
+            if kind == gr.LOOP:
+                active |= bit
+            else:
+                stack.append((prefix + (RIGHT,), contracted | bit, typed,
+                              active))
+            prefix += (LEFT,)
+        yield contracted, active
 
 
 def types_by_edge(history):

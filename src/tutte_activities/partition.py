@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import graph as gr
 from .engine import (TYPE_I, TYPE_SI, active_mask, decision_walk,
-                     forest_active, run_history, type_masks)
+                     forest_walk, run_history, type_masks)
 
 MATERIALIZE_MAX_EDGES = 20
 
@@ -111,22 +111,17 @@ def forest_partition_types(g, oracle):
 
 
 def forest_partition_activity(g, oracle):
-    """Map each spanning forest to [F, F + active(F)] with the forest rule."""
-    out = {}
-    for f in gr.spanning_forests(g):
-        out[f] = SubgraphInterval(f, f | forest_active(g, oracle, f))
-    return out
+    """Map each leaf F of the forest walk to [F, F + active(F)], ascending."""
+    return {f: SubgraphInterval(f, f | active)
+            for f, active in sorted(forest_walk(g, oracle))}
 
 
 def is_partition_of_lattice(intervals, m) -> bool:
     """Whether the intervals tile all 2^m subgraphs without overlap."""
-    seen = 0
-    total = 0
+    seen = set()
     for interval in intervals:
         for member in interval.members():
-            bit = 1 << member
-            if seen & bit:
+            if member in seen:
                 return False
-            seen |= bit
-            total += 1
-    return total == (1 << m)
+            seen.add(member)
+    return len(seen) == 1 << m

@@ -72,12 +72,12 @@ def decision_tree_activities(g):
     return seen
 
 
-def _interval_bits(g, tree, psi):
+def _interval_bits(tree, psi, index):
     """Bitset over subgraph indices of the interval [T - psi, T + psi]."""
     lower = tree & ~psi
     bits = 0
     for s in gr.submasks(psi):
-        bits |= 1 << (lower | s)
+        bits |= 1 << index[lower | s]
     return bits
 
 
@@ -143,12 +143,14 @@ def conjecture_scan(g, budget=2 ** 22) -> ScanReport:
             f"{candidate_count} candidate activities exceed budget {budget}")
 
     full_mask = g.full_edge_set()
+    # Bit i stands for the i-th subgraph, whatever the edge ids.
+    index = {s: i for i, s in enumerate(gr.submasks(full_mask))}
     options = []
     for t in trees:
-        options.append([(psi, _interval_bits(g, t, psi))
+        options.append([(psi, _interval_bits(t, psi, index))
                         for psi in gr.submasks(full_mask)])
 
-    full = _interval_bits(g, 0, full_mask)
+    full = _interval_bits(0, full_mask, index)
     survivors = []
     chosen = []
 

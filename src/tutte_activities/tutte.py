@@ -24,7 +24,7 @@ from collections import Counter
 
 from . import graph as gr
 from .classic import dfs_active
-from .engine import decision_walk, forest_active
+from .engine import decision_walk, forest_walk
 from .poly import BivariatePoly
 
 
@@ -106,20 +106,17 @@ def tutte_half(g, oracle) -> BivariatePoly:
     return tutte_delta(g, oracle)
 
 
-def _forest_sum(g, active) -> BivariatePoly:
-    """Sum (x-1)^(cc(F)-1) y^|active(F)| over spanning forests."""
-    tally = Counter((gr.cc(g, f) - 1, gr.popcount(active(f)))
-                    for f in gr.spanning_forests(g))
-    return BivariatePoly(tally).substitute_shift(-1, 0)
-
-
 def tutte_forest_activity(g, oracle) -> BivariatePoly:
-    """Sum (x-1)^(cc(F)-1) y^|active(F)| with the loop-at-visit forest rule."""
-    return _forest_sum(g, lambda f: forest_active(g, oracle, f))
+    """Sum (x-1)^(cc(F)-1) y^|active(F)| over the leaves of the forest walk."""
+    return BivariatePoly(Counter(
+        (g.vertex_count - 1 - gr.popcount(f), gr.popcount(active))
+        for f, active in forest_walk(g, oracle))).substitute_shift(-1, 0)
 
 
 def tutte_dfs(g) -> BivariatePoly:
     """Sum (x-1)^(cc(F)-1) y^|DFS-active(F)| over spanning forests."""
     if not gr.is_connected(g):
         raise ValueError("graph must be connected")
-    return _forest_sum(g, lambda f: dfs_active(g, f))
+    return BivariatePoly(Counter(
+        (g.vertex_count - 1 - gr.popcount(f), gr.popcount(dfs_active(g, f)))
+        for f in gr.spanning_forests(g))).substitute_shift(-1, 0)

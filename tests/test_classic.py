@@ -11,8 +11,10 @@ from tutte_activities.classic import (blossoming_active,
                                       maximal_active, ordering_active,
                                       prune_run, tau)
 from tutte_activities.comb_map import genus, mirror, parse_map, tour_order
-from tutte_activities.decision import from_linear_order, from_order_map
-from tutte_activities.engine import delta_activity, delta_ordering
+from tutte_activities.decision import (LEFT, RIGHT, DecisionOracle,
+                                       from_linear_order, from_order_map)
+from tutte_activities.engine import delta_activity, delta_ordering, forest_walk
+from tutte_activities.harness import desk_corpus
 from conftest import fixture_graph, fixture_map, letters_of, mask_of
 
 
@@ -394,3 +396,27 @@ def test_dfs_rules_on_all_five_vertex_simple_graphs():
         for f in gr.spanning_forests(g):
             assert dfs_active(g, f) == dfs_active_by_inversion(g, f), (g, f)
         assert tutte_dfs(g) == tutte_definitional(g), g
+
+
+def _has_multiple_edges(g):
+    ends = [frozenset((u, v)) for _, u, v in g.edges]
+    return len(set(ends)) < len(ends)
+
+
+def test_dfs_activity_is_the_forest_rule_of_the_marking_dfs_tree():
+    # The marking-DFS edge orders of all spanning forests fit one decision
+    # tree, stepping right exactly on forest edges; the loop-at-visit forest
+    # rule on that tree gives DFS activity.
+    simple = [g for g in desk_corpus() if not _has_multiple_edges(g)]
+    assert len(simple) == 70
+    for g in simple:
+        forests = gr.spanning_forests(g)
+        table = {}
+        for f in forests:
+            prefix = ()
+            for eid in dfs_order_map(g, f):
+                assert table.setdefault(prefix, eid) == eid, (g, f, prefix)
+                prefix += (RIGHT if (f >> eid) & 1 else LEFT,)
+        oracle = DecisionOracle(g.edge_ids, table)
+        assert dict(forest_walk(g, oracle)) == {
+            f: dfs_active(g, f) for f in forests}, g

@@ -9,7 +9,7 @@ from tutte_activities.decision import (explicit_tree, from_linear_order,
 from tutte_activities.engine import (DIRECTION_OF_TYPE, MaskMinor,
                                      decision_walk, delta_activity,
                                      delta_ordering, forest_active,
-                                     format_history,
+                                     forest_walk, format_history,
                                      internal_active_no_contract, run_history,
                                      type_masks, types_by_edge)
 from tutte_activities.harness import connected_multigraphs, desk_corpus
@@ -326,19 +326,34 @@ def test_walk_leaves_are_the_spanning_trees_with_their_activities(corpus):
                     g, name, t)
 
 
+def test_forest_walk_leaves_are_the_spanning_forests_with_their_actives(
+        corpus):
+    doubled_triangle = gr.Graph(3, [(5, 0, 1), (7, 1, 2), (9, 2, 0),
+                                    (11, 0, 1)])
+    for g in corpus + [doubled_triangle]:
+        forests = gr.spanning_forests(g)
+        for name, oracle in _corpus_oracles(g):
+            walked = list(forest_walk(g, oracle))
+            assert sorted(f for f, _ in walked) == forests, (g, name)
+            for f, active in walked:
+                assert active == forest_active(g, oracle, f), (g, name, f)
+
+
 def test_walk_asks_each_node_once(g4, d4):
-    asked = []
+    # five trees and ten forests; every path shares its nodes up to the
+    # branch point
+    for walk, leaves in ((decision_walk, 5), (forest_walk, 10)):
+        asked = []
 
-    class Counting:
-        def next_edge(self, prefix):
-            asked.append(prefix)
-            return d4.next_edge(prefix)
+        class Counting:
+            def next_edge(self, prefix):
+                asked.append(prefix)
+                return d4.next_edge(prefix)
 
-    walked = list(decision_walk(g4, Counting()))
-    assert len(asked) == len(set(asked))
-    # five leaves, and every path shares its nodes up to the branch point
-    assert len(walked) == 5
-    assert len(asked) < 5 * g4.edge_count()
+        walked = list(walk(g4, Counting()))
+        assert len(asked) == len(set(asked)), walk
+        assert len(walked) == leaves, walk
+        assert len(asked) < leaves * g4.edge_count(), walk
 
 
 def test_walk_of_single_edge_graphs():

@@ -292,3 +292,16 @@ def test_cli_needs_exactly_one_input(args, message):
     out = run_cli("tutte", "--method", "delcon", *args)
     assert _one_error_line(out) == message
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                         capture_output=True, text=True, env=CLI_ENV)
+    assert out.returncode == 0, out.stderr
+    if demo == "tutte_routes.py":
+        routes = out.stdout.split("\n\n")[0].splitlines()
+        assert len(routes) == 10
+        assert all(line.endswith("x^2 + x*y + x + y^2 + y")
+                   for line in routes)

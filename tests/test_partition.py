@@ -246,3 +246,14 @@ def test_class_table_on_ids_not_from_zero():
     assert sorted(table) == members
     for s in members:
         assert trees[table[s]] == representative_tree(g, oracle, s)
+
+
+def test_tiling_check_on_large_edge_ids():
+    g = gr.Graph(3, [(0, 0, 1), (1, 0, 1), (2, 0, 2), (40, 1, 2)])
+    oracle = random_oracle(g, 1)
+    m = g.edge_count()
+    assert is_partition_of_lattice(partition(g, oracle).values(), m)
+    assert is_partition_of_lattice(
+        forest_partition_activity(g, oracle).values(), m)
+    twice = list(partition(g, oracle).values()) * 2
+    assert not is_partition_of_lattice(twice, m)

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from tutte_activities import graph as gr  # noqa: E402
 from tutte_activities.decision import (from_linear_order,  # noqa: E402
                                        random_oracle)
-from tutte_activities.partition import class_table  # noqa: E402
-from tutte_activities.tutte import tutte_delcon, tutte_delta  # noqa: E402
+from tutte_activities.partition import (  # noqa: E402
+    class_table, forest_partition_activity, is_partition_of_lattice)
+from tutte_activities.tutte import (tutte_delcon, tutte_delta,  # noqa: E402
+                                    tutte_forest_activity)
 
 
 @st.composite
@@ -34,8 +36,13 @@ def multigraphs(draw):
 def test_activity_routes_and_classes_on_any_ids(g, seed):
     reference = tutte_delcon(g)
     oracle = random_oracle(g, seed)
+    linear = from_linear_order(g.edge_ids)
     assert tutte_delta(g, oracle) == reference
-    assert tutte_delta(g, from_linear_order(g.edge_ids)) == reference
+    assert tutte_delta(g, linear) == reference
+    assert tutte_forest_activity(g, oracle) == reference
+    assert tutte_forest_activity(g, linear) == reference
+    assert is_partition_of_lattice(
+        forest_partition_activity(g, oracle).values(), g.edge_count())
     trees, table = class_table(g, oracle)
     assert sorted(table) == list(gr.submasks(g.full_edge_set()))
     assert trees == gr.spanning_trees(g)

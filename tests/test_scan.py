@@ -130,3 +130,14 @@ def test_scan_on_ids_not_from_zero():
         [relabel(v) for v in a.conjecture1_counterexamples]
     assert decision_tree_activities(moved) == \
         {relabel(v) for v in decision_tree_activities(plain)}
+
+
+def test_scan_on_large_edge_ids():
+    # The tiling bitsets index the subgraphs, not their mask values: id 40
+    # must not make a 2^41-bit integer.
+    g = gr.Graph(3, [(0, 0, 1), (1, 0, 1), (2, 0, 2), (40, 1, 2)])
+    report = conjecture_scan(g)
+    assert len(report.survivors) == 48
+    assert len(report.conjecture1_counterexamples) == 8
+    assert len(report.conjecture2_counterexamples) == 8
+    assert not report.not_descriptive

@@ -187,11 +187,12 @@ def test_delta_route_releases_the_oracle_without_gc(g4):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        oracle = random_oracle(g4, 4)
-        ref = weakref.ref(oracle)
-        assert str(tutte_delta(g4, oracle)) == GOLDEN_G4
-        del oracle
-        assert ref() is None
+        for route in (tutte_delta, tutte_forest_activity):
+            oracle = random_oracle(g4, 4)
+            ref = weakref.ref(oracle)
+            assert str(route(g4, oracle)) == GOLDEN_G4
+            del oracle
+            assert ref() is None, route
     finally:
         if enabled:
             gc.enable()
