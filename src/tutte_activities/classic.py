@@ -5,15 +5,15 @@ linear edge order.  Embedding activity: minimal for the tour order of the
 spanning tree.  Blossoming activity: defined through a pruning walk that
 turns the map into a tree.  DFS activity: greatest-neighbor depth-first
 search on simple graphs.  Each family is also realizable through a decision
-oracle; the reductions live in the callers/tests, the native definitions
-live here.
+oracle (`order_map_oracle`; the DFS one replays the marking DFS per prefix);
+the native definitions live here and stay the references.
 """
 
 from __future__ import annotations
 
 from . import graph as gr
 from .comb_map import CombMap, mirror, tour_order
-from .decision import OrderMapOracle
+from .decision import RIGHT, DecisionOracle, OrderMapOracle
 from .engine import MaskMinor
 
 
@@ -353,22 +353,43 @@ def dfs_order_map(g, subgraph_mask):
 ORDER_MAP_FAMILIES = ("embedding", "blossoming", "dfs")
 
 
+class DfsOracle(DecisionOracle):
+    """The marking DFS as a lazily filled decision tree.
+
+    The DFS marks its first k edges knowing only which of them lie in the
+    subgraph, so at a prefix of length k it runs on the edges the prefix put
+    right and answers the (k+1)-th edge it marks.  On the path of any
+    spanning forest F the answers are `dfs_order_map(g, F)`.
+    """
+
+    def __init__(self, g):
+        _require_dfs_graph(g)
+        super().__init__(g.edge_ids)
+        self.g = g
+
+    def choose(self, prefix, unused):
+        # `next_edge` has tabled every ancestor of the prefix.
+        inside = gr.edge_set(self.table[prefix[:j]]
+                             for j, d in enumerate(prefix) if d == RIGHT)
+        return dfs_run(self.g, inside).edge_order[len(prefix)]
+
+
 def order_map_oracle(family, g, cmap=None):
     """The decision oracle realizing a classical family's order map.
 
     `embedding` orders each spanning tree of g by its tour in the mirror of
     `cmap`, `blossoming` by the first visits of the pruning walk on `cmap`
     (both need the map, whose underlying graph g is), and `dfs` by the
-    marking DFS of the simple graph g.
+    marking DFS of the simple graph g, filled lazily (`DfsOracle`).
     """
     if family not in ORDER_MAP_FAMILIES:
         raise ValueError(f"unknown order-map family {family!r}")
-    if cmap is None and family != "dfs":
+    if family == "dfs":
+        return DfsOracle(g)
+    if cmap is None:
         raise ValueError(f"the {family} order map needs a map")
     trees = gr.spanning_trees(g)
-    if family == "dfs":
-        table = {t: dfs_order_map(g, t) for t in trees}
-    elif family == "embedding":
+    if family == "embedding":
         mm = mirror(cmap)
         table = {t: tour_order(mm, t)[1] for t in trees}
     else:

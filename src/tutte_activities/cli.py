@@ -13,8 +13,8 @@ import functools
 import sys
 
 from . import graph as gr
-from .classic import (ORDER_MAP_FAMILIES, blossoming_active, dfs_active,
-                      embedding_active, order_map_oracle, ordering_active)
+from .classic import (ORDER_MAP_FAMILIES, blossoming_active, embedding_active,
+                      order_map_oracle, ordering_active)
 from .comb_map import load_map
 from .decision import from_linear_order, load_decision_tree, random_oracle
 from .engine import delta_activity, format_history, run_history
@@ -112,10 +112,6 @@ def _cmd_activity(args):
         internal, external = embedding_active(m, tree)
     elif args.oracle == "blossoming" and m is not None:
         internal, external = blossoming_active(m, tree)
-    elif args.oracle == "dfs":
-        external = dfs_active(g, tree)
-        oracle = _make_oracle("dfs", g, m)
-        internal, _ = delta_activity(g, oracle, tree)
     else:
         oracle = _make_oracle(args.oracle, g, m)
         internal, external = delta_activity(g, oracle, tree)

@@ -15,12 +15,12 @@ from itertools import combinations, combinations_with_replacement, permutations
 from . import graph as gr
 from .classic import (blossoming_active, blossoming_internal_active,
                       dfs_active, dfs_active_by_inversion, dfs_forest,
-                      embedding_active, maximal_active, order_map_oracle,
-                      ordering_active, tau)
+                      dfs_order_map, embedding_active, maximal_active,
+                      order_map_oracle, ordering_active, tau)
 from .comb_map import CombMap, mirror, tour_order
 from .decision import from_linear_order, random_oracle
 from .engine import (TYPE_I, TYPE_L, TYPE_SE, TYPE_SI, decision_walk,
-                     delta_activity, delta_ordering,
+                     delta_activity, delta_ordering, forest_walk,
                      internal_active_no_contract, run_history, type_masks)
 from .partition import SubgraphInterval, class_table, representative_tree
 from .tutte import (tutte_definitional, tutte_delcon, tutte_delta,
@@ -49,8 +49,7 @@ def connected_multigraphs(max_edges, max_vertices=None):
     Every vertex must be covered, so a graph with m edges has at most m+1
     vertices.  Results are sorted by (vertex count, edge count, shape).
     """
-    out = []
-    seen = set()
+    found = {}  # (n, m, canonical form) -> first graph with that form
     for m in range(1, max_edges + 1):
         n_cap = m + 1 if max_vertices is None else min(m + 1, max_vertices)
         for n in range(1, n_cap + 1):
@@ -58,16 +57,9 @@ def connected_multigraphs(max_edges, max_vertices=None):
             for combo in combinations_with_replacement(slots, m):
                 edges = [(i, u, v) for i, (u, v) in enumerate(combo)]
                 g = gr.Graph(n, edges)
-                if not gr.is_connected(g):
-                    continue
-                key = canonical_form(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(g)
-    out.sort(key=lambda g: (g.vertex_count, g.edge_count(),
-                            canonical_form(g)))
-    return out
+                if gr.is_connected(g):
+                    found.setdefault((n, m, canonical_form(g)), g)
+    return [found[key] for key in sorted(found)]
 
 
 def connected_simple_graphs(n_vertices, max_edges):
@@ -94,15 +86,10 @@ def desk_corpus(minimum=200):
     Exhaustive over small multigraphs, complete for simple graphs up to five
     vertices, plus a few six-vertex representatives.
     """
-    graphs = list(connected_multigraphs(6, max_vertices=4))
-    seen = {canonical_form(g) for g in graphs}
-    for n in (5,):
-        for g in connected_simple_graphs(n, 8):
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
-                graphs.append(g)
-    six = [
+    # The three families have 1-4, 5 and 6 vertices: none repeats another's.
+    graphs = connected_multigraphs(6, max_vertices=4)
+    graphs += connected_simple_graphs(5, 8)
+    graphs += [
         gr.Graph(6, [(i, i, i + 1) for i in range(5)]),                 # path
         gr.Graph(6, [(i, 0, i + 1) for i in range(5)]),                 # star
         gr.Graph(6, [(i, i, (i + 1) % 6) for i in range(6)]),           # cycle
@@ -111,11 +98,6 @@ def desk_corpus(minimum=200):
         gr.Graph(6, [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 2, 3),
                      (4, 3, 4), (5, 4, 5), (6, 5, 3)]),                 # two triangles
     ]
-    for g in six:
-        key = canonical_form(g)
-        if key not in seen:
-            seen.add(key)
-            graphs.append(g)
     if len(graphs) < minimum:
         raise AssertionError(
             f"corpus generator produced only {len(graphs)} graphs")
@@ -281,13 +263,17 @@ def _dfs_checks(results, g):
                 f"inversion rule differs on forest {f:#x}")
     _check(results, "dfs-inversion-rule", active_rules)
 
-    def as_delta():
+    # Every oracle's forest-activity sum is the polynomial, so the DFS route
+    # is checked where it rests: the oracle's forest rule and visit orders.
+    def as_oracle():
         oracle = order_map_oracle("dfs", g)
+        for f, active in forest_walk(g, oracle):
+            assert active == dfs_active(g, f), (
+                f"dfs actives differ on forest {f:#x}")
         for t in gr.spanning_trees(g):
-            internal, external = delta_activity(g, oracle, t)
-            assert external == dfs_active(g, t), (
-                f"dfs external actives differ on tree {t:#x}")
-    _check(results, "dfs-as-decision-oracle", as_delta)
+            assert delta_ordering(g, oracle, t) == dfs_order_map(g, t), (
+                f"dfs visit order differs on tree {t:#x}")
+    _check(results, "dfs-as-decision-oracle", as_oracle)
 
     def descriptive():
         ref = tutte_definitional(g)

@@ -15,7 +15,8 @@ activity route's polynomial.  What they rest on, that every subgraph of the
 interval has that history, is checked against the typing pass by the
 crosscheck harness.  The forest sums use base (x-1) on the component count;
 the single-isthmus graph forces that choice (a bare x base would give x+1
-instead of x).
+instead of x).  The DFS route is the forest-activity route on the
+marking-DFS oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import graph as gr
-from .classic import dfs_active
+from .classic import order_map_oracle
 from .engine import decision_walk, forest_walk
 from .poly import BivariatePoly
 
@@ -114,9 +115,5 @@ def tutte_forest_activity(g, oracle) -> BivariatePoly:
 
 
 def tutte_dfs(g) -> BivariatePoly:
-    """Sum (x-1)^(cc(F)-1) y^|DFS-active(F)| over spanning forests."""
-    if not gr.is_connected(g):
-        raise ValueError("graph must be connected")
-    return BivariatePoly(Counter(
-        (g.vertex_count - 1 - gr.popcount(f), gr.popcount(dfs_active(g, f)))
-        for f in gr.spanning_forests(g))).substitute_shift(-1, 0)
+    """Sum (x-1)^(cc(F)-1) y^|DFS-active(F)| over the DFS oracle's forests."""
+    return tutte_forest_activity(g, order_map_oracle("dfs", g))

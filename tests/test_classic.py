@@ -8,8 +8,8 @@ from tutte_activities.classic import (blossoming_active,
                                       blossoming_subtree_charge, dfs_active,
                                       dfs_active_by_inversion, dfs_forest,
                                       dfs_order_map, dfs_run, embedding_active,
-                                      maximal_active, ordering_active,
-                                      prune_run, tau)
+                                      maximal_active, order_map_oracle,
+                                      ordering_active, prune_run, tau)
 from tutte_activities.comb_map import genus, mirror, parse_map, tour_order
 from tutte_activities.decision import (LEFT, RIGHT, DecisionOracle,
                                        from_linear_order, from_order_map)
@@ -418,5 +418,9 @@ def test_dfs_activity_is_the_forest_rule_of_the_marking_dfs_tree():
                 assert table.setdefault(prefix, eid) == eid, (g, f, prefix)
                 prefix += (RIGHT if (f >> eid) & 1 else LEFT,)
         oracle = DecisionOracle(g.edge_ids, table)
-        assert dict(forest_walk(g, oracle)) == {
-            f: dfs_active(g, f) for f in forests}, g
+        expected = {f: dfs_active(g, f) for f in forests}
+        assert dict(forest_walk(g, oracle)) == expected, g
+        # The lazy DFS oracle is that tree: its walk fills exactly the table.
+        lazy = order_map_oracle("dfs", g)
+        assert dict(forest_walk(g, lazy)) == expected, g
+        assert lazy.table == table, g

@@ -5,10 +5,11 @@ import sys
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities import harness
+from tutte_activities import classic, harness
 from tutte_activities.harness import (canonical_form, connected_multigraphs,
                                       crosscheck, desk_corpus)
-from conftest import FIXTURES, ROOT, fixture_map, graph_path, map_path
+from conftest import (FIXTURES, ROOT, fixture_graph, fixture_map, graph_path,
+                      map_path)
 
 TREE_FILE = FIXTURES / "trees" / "parallel_triangle.tree"
 
@@ -51,6 +52,17 @@ def test_walk_classes_check_catches_a_typing_that_reads_the_subgraph(
     failed = {r.name for r in report.results if not r.ok}
     assert {"walk-classes[linear]", "walk-classes[random:0]"} <= failed
     assert "tree-activity-sum[linear]" not in failed
+
+
+def test_dfs_oracle_check_catches_a_wrong_dfs_oracle(monkeypatch):
+    # The forest-activity route sums to the Tutte polynomial for any oracle,
+    # so only the DFS oracle check can see a wrong DFS rule.
+    monkeypatch.setattr(classic.DfsOracle, "choose",
+                        lambda self, prefix, unused: unused[0])
+    report = crosscheck(fixture_graph("dfs_five"), seeds=range(1))
+    failed = {r.name for r in report.results if not r.ok}
+    assert "dfs-as-decision-oracle" in failed
+    assert "dfs-descriptive" not in failed
 
 
 def test_connected_multigraph_enumeration():
@@ -120,6 +132,18 @@ def test_cli_activity(g4):
                   "--oracle", f"file:{TREE_FILE}")
     assert out.returncode == 0, out.stderr
     assert out.stdout == "internal: {1,3}\nexternal: {}\n"
+
+
+def test_cli_activity_dfs_oracle():
+    dfs_five = str(graph_path("dfs_five"))
+    out = run_cli("activity", "--graph", dfs_five, "--oracle", "dfs",
+                  "--tree", "0,2,4")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "internal: {}\nexternal: {3}\n"
+    out = run_cli("activity", "--graph", dfs_five, "--oracle", "dfs",
+                  "--tree", "0,1,2")  # a cycle
+    assert _one_error_line(out) == "error: edge set is not a spanning tree"
+    assert out.stdout == ""
 
 
 def test_cli_ordering():

@@ -110,6 +110,11 @@ def test_dfs_route_goldens():
                  "triangle", "cycle4"]:
         g = fixture_graph(name)
         assert tutte_dfs(g) == tutte_definitional(g)
+    # A four-cycle with a chord, on edge ids that are not 0..m-1.
+    chorded = gr.Graph(4, [(5, 0, 1), (9, 1, 2), (11, 2, 3), (40, 3, 0),
+                           (7, 0, 2)])
+    assert tutte_dfs(chorded) == tutte_delcon(chorded)
+    assert str(tutte_dfs(chorded)) == "x^3 + 2*x^2 + 2*x*y + x + y^2 + y"
 
 
 def test_dfs_route_rejects_multigraph(g4):
