@@ -254,6 +254,11 @@ def dfs_run(g, subgraph_mask) -> DfsRun:
     the edge lies in the subgraph and reaches an unvisited vertex.
     """
     _require_dfs_graph(g)
+    return _marking_dfs(g, subgraph_mask)
+
+
+def _marking_dfs(g, subgraph_mask) -> DfsRun:
+    """`dfs_run` on a graph already checked by `_require_dfs_graph`."""
     incident = [[] for _ in range(g.vertex_count)]
     for eid, u, v in g.edges:
         incident[u].append((v, eid))
@@ -294,12 +299,13 @@ def dfs_forest(g, subgraph_mask) -> int:
 
 def dfs_active(g, forest_mask) -> int:
     """External edges whose addition leaves the DFS forest unchanged."""
-    if dfs_forest(g, forest_mask) != forest_mask:
+    if dfs_forest(g, forest_mask) != forest_mask:  # checks g once
         raise ValueError("edge set is not its own DFS forest")
     result = 0
     for eid, _, _ in g.edges:
         if not ((forest_mask >> eid) & 1):
-            if dfs_forest(g, forest_mask | (1 << eid)) == forest_mask:
+            grown = _marking_dfs(g, forest_mask | (1 << eid))
+            if grown.forest_mask == forest_mask:
                 result |= 1 << eid
     return result
 
@@ -311,9 +317,9 @@ def dfs_active_by_inversion(g, forest_mask) -> int:
     other in the DFS forest and the child of the ancestor on the connecting
     path is larger than the descendant endpoint.
     """
-    if dfs_forest(g, forest_mask) != forest_mask:
-        raise ValueError("edge set is not its own DFS forest")
     run = dfs_run(g, forest_mask)
+    if run.forest_mask != forest_mask:
+        raise ValueError("edge set is not its own DFS forest")
 
     def chain(v):
         path = [v]
@@ -371,7 +377,7 @@ class DfsOracle(DecisionOracle):
         # `next_edge` has tabled every ancestor of the prefix.
         inside = gr.edge_set(self.table[prefix[:j]]
                              for j, d in enumerate(prefix) if d == RIGHT)
-        return dfs_run(self.g, inside).edge_order[len(prefix)]
+        return _marking_dfs(self.g, inside).edge_order[len(prefix)]
 
 
 def order_map_oracle(family, g, cmap=None):

@@ -49,18 +49,19 @@ def _load_inputs(args):
         raise ValueError("use --graph or --map, not both "
                          "(a map provides its own graph)")
     if has_map:
-        m = load_map(args.map)
+        m = _load(load_map, args.map)
         return m.underlying_graph(), m
     if has_graph:
-        return load_graph_checked(args.graph), None
+        return _load(gr.load_graph, args.graph), None
     raise ValueError("need --graph or --map")
 
 
-def load_graph_checked(path):
+def _load(loader, path, *rest):
+    """Read an input file; a parse error names the file it is in."""
     try:
-        return gr.load_graph(path)
+        return loader(path, *rest)
     except ValueError as exc:
-        raise SystemExit(f"error: {path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _make_oracle(spec, g, m):
@@ -79,7 +80,7 @@ def _make_oracle(spec, g, m):
     if kind == "random" and arg.removeprefix("-").isdecimal():
         return random_oracle(g, int(arg))
     if kind == "file" and arg:
-        return load_decision_tree(arg, g.edge_ids)
+        return _load(load_decision_tree, arg, g.edge_ids)
     raise ValueError(f"unknown oracle spec {spec!r}")
 
 

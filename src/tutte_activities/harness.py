@@ -2,7 +2,8 @@
 
 The crosscheck runs every polynomial route and the structural theorems on
 one graph (optionally with an embedding) and reports one line per check,
-with the first counterexample when something fails.  The generators
+with the first counterexample when something fails.  Each fact the checks
+share is computed once, such as one typing table per oracle.  The generators
 enumerate small connected multigraphs up to isomorphism for exhaustive
 testing; isomorphism uses brute-force canonical labelling, which is fine at
 these sizes.
@@ -22,7 +23,7 @@ from .decision import from_linear_order, random_oracle
 from .engine import (TYPE_I, TYPE_L, TYPE_SE, TYPE_SI, decision_walk,
                      delta_activity, delta_ordering, forest_walk,
                      internal_active_no_contract, run_history, type_masks)
-from .partition import SubgraphInterval, class_table, representative_tree
+from .partition import SubgraphInterval, class_table
 from .tutte import (tutte_definitional, tutte_delcon, tutte_delta,
                     tutte_dfs, tutte_forest_activity)
 
@@ -142,81 +143,74 @@ def _check(results, name, fn):
         results.append(CheckResult(name, False, str(exc)))
 
 
-def _poly_route_checks(results, g, reference, name, oracle):
-    def route(label, fn):
-        def body():
-            value = fn()
-            assert value == reference, (
-                f"{label} gave {value} instead of {reference}")
-        _check(results, f"{label}[{name}]", body)
-
-    route("tree-activity-sum", lambda: tutte_delta(g, oracle))
-    route("forest-activity-sum", lambda: tutte_forest_activity(g, oracle))
+def _route_check(results, label, name, value, reference):
+    def body():
+        assert value == reference, (
+            f"{label} gave {value} instead of {reference}")
+    _check(results, f"{label}[{name}]", body)
 
 
-def _structural_checks(results, g, name, oracle):
+def _structural_checks(results, g, trees, name, oracle):
+    full = g.full_edge_set()
+    histories = {s: run_history(g, oracle, s) for s in gr.submasks(full)}
+    types = {s: type_masks(history) for s, history in histories.items()}
+
     def variants():
-        for mask in gr.submasks(g.full_edge_set()):
-            base = run_history(g, oracle, mask)
-            for dl in (False, True):
-                for ci in (False, True):
-                    other = run_history(g, oracle, mask, delete_loops=dl,
-                                        contract_isthmuses=ci)
-                    assert other == base, (
-                        f"variant ({dl},{ci}) diverged on subgraph {mask:#x}")
+        for mask, base in histories.items():
+            for dl, ci in ((False, True), (True, False), (True, True)):
+                other = run_history(g, oracle, mask, delete_loops=dl,
+                                    contract_isthmuses=ci)
+                assert other == base, (
+                    f"variant ({dl},{ci}) diverged on subgraph {mask:#x}")
     _check(results, f"variant-invariance[{name}]", variants)
 
     def maximality():
-        for t in gr.spanning_trees(g):
-            order = delta_ordering(g, oracle, t)
-            internal, external = delta_activity(g, oracle, t)
-            expected = maximal_active(g, order, t)
-            assert (internal, external) == expected, (
+        for t in trees:
+            expected = maximal_active(g, [e for e, _ in histories[t]], t)
+            assert (types[t][TYPE_I], types[t][TYPE_L]) == expected, (
                 f"maximality mismatch on tree {t:#x}")
     _check(results, f"maximality-rule[{name}]", maximality)
 
     def tiles():
-        trees, _ = class_table(g, oracle)
-        assert len(trees) == len(gr.spanning_trees(g))
+        assert len(class_table(g, oracle)[0]) == len(trees)
     _check(results, f"interval-partition[{name}]", tiles)
 
     # The forest, connected and half-weight expansions equal the activity
     # route because every subgraph of a leaf's interval has its history.
     def walk_classes():
-        full = g.full_edge_set()
         for t, internal, external in decision_walk(g, oracle):
             expected = {TYPE_SI: t & ~internal, TYPE_I: internal,
                         TYPE_L: external, TYPE_SE: full & ~(t | external)}
             for s in SubgraphInterval(t & ~internal, t | external).members():
-                assert type_masks(run_history(g, oracle, s)) == expected, (
+                assert types[s] == expected, (
                     f"subgraph {s:#x} not typed like its leaf tree {t:#x}")
     _check(results, f"walk-classes[{name}]", walk_classes)
 
     def representative():
-        for mask in gr.submasks(g.full_edge_set()):
-            t = representative_tree(g, oracle, mask)
+        for mask, history in histories.items():
+            t = types[mask][TYPE_SI] | types[mask][TYPE_I]
             assert gr.is_spanning_tree(g, t), f"non-tree class index {t:#x}"
-            assert run_history(g, oracle, t) == run_history(g, oracle, mask), (
+            assert histories[t] == history, (
                 f"subgraph {mask:#x} not equivalent to its tree")
     _check(results, f"representative-tree[{name}]", representative)
 
     def algint():
-        for t in gr.spanning_trees(g):
-            internal, _ = delta_activity(g, oracle, t)
+        for t in trees:
+            internal = types[t][TYPE_I]
             assert internal_active_no_contract(g, oracle, t) == internal, (
                 f"contract-free internal actives differ on tree {t:#x}")
     _check(results, f"internal-actives-no-contract[{name}]", algint)
 
 
-def _map_checks(results, m: CombMap):
-    g = m.underlying_graph()
+def _map_checks(results, m: CombMap, g, ref, trees, forests):
+    embedded = {t: embedding_active(m, t) for t in trees}
+    pruned = {t: blossoming_internal_active(m, t) for t in trees}
     mm = mirror(m)
-    trees = gr.spanning_trees(g)
 
     def embedding_vs_mirror():
         for t in trees:
             _, mirror_order = tour_order(mm, t)
-            assert embedding_active(m, t) == maximal_active(g, mirror_order, t), (
+            assert embedded[t] == maximal_active(g, mirror_order, t), (
                 f"mirror max rule diverges on tree {t:#x}")
     _check(results, "embedding-mirror-max", embedding_vs_mirror)
 
@@ -224,12 +218,11 @@ def _map_checks(results, m: CombMap):
 
     def embedding_as_delta():
         for t in trees:
-            assert delta_activity(g, embedding, t) == embedding_active(m, t), (
+            assert delta_activity(g, embedding, t) == embedded[t], (
                 f"embedding route diverges on tree {t:#x}")
     _check(results, "embedding-as-decision-oracle", embedding_as_delta)
 
     def embedding_descriptive():
-        ref = tutte_definitional(g)
         value = tutte_delta(g, embedding)
         assert value == ref, f"embedding activity sums to {value}, not {ref}"
     _check(results, "embedding-descriptive", embedding_descriptive)
@@ -237,29 +230,29 @@ def _map_checks(results, m: CombMap):
     def blossoming_checks():
         oracle = order_map_oracle("blossoming", g, m)
         for t in trees:
-            internal = blossoming_internal_active(m, t)
             full = blossoming_active(m, t)
-            assert full[0] == internal, f"pruning rule internal mismatch {t:#x}"
+            assert full[0] == pruned[t], f"pruning rule internal mismatch {t:#x}"
             assert delta_activity(g, oracle, t) == full, (
                 f"blossoming oracle mismatch on {t:#x}")
-        ref = tutte_definitional(g)
         assert tutte_delta(g, oracle) == ref
     _check(results, "blossoming-as-decision-oracle", blossoming_checks)
 
     def tau_preimage():
+        tree_of = {f: tau(m, f) for f in forests}
         for t in trees:
-            internal = blossoming_internal_active(m, t)
-            window = SubgraphInterval(t & ~internal, t)
-            for f in gr.spanning_forests(g):
-                assert (tau(m, f) == t) == (f in window), (
+            window = SubgraphInterval(t & ~pruned[t], t)
+            for f in forests:
+                assert (tree_of[f] == t) == (f in window), (
                     f"pruning preimage of {t:#x} wrong at forest {f:#x}")
     _check(results, "pruning-preimage-interval", tau_preimage)
 
 
-def _dfs_checks(results, g):
+def _dfs_checks(results, g, ref, trees, forests):
+    actives = {f: dfs_active(g, f) for f in forests}
+
     def active_rules():
-        for f in gr.spanning_forests(g):
-            assert dfs_active(g, f) == dfs_active_by_inversion(g, f), (
+        for f in forests:
+            assert actives[f] == dfs_active_by_inversion(g, f), (
                 f"inversion rule differs on forest {f:#x}")
     _check(results, "dfs-inversion-rule", active_rules)
 
@@ -268,21 +261,23 @@ def _dfs_checks(results, g):
     def as_oracle():
         oracle = order_map_oracle("dfs", g)
         for f, active in forest_walk(g, oracle):
-            assert active == dfs_active(g, f), (
+            assert active == actives[f], (
                 f"dfs actives differ on forest {f:#x}")
-        for t in gr.spanning_trees(g):
+        for t in trees:
             assert delta_ordering(g, oracle, t) == dfs_order_map(g, t), (
                 f"dfs visit order differs on tree {t:#x}")
     _check(results, "dfs-as-decision-oracle", as_oracle)
 
     def descriptive():
-        ref = tutte_definitional(g)
-        assert tutte_dfs(g) == ref, f"dfs route gave {tutte_dfs(g)}, not {ref}"
+        value = tutte_dfs(g)
+        assert value == ref, f"dfs route gave {value}, not {ref}"
     _check(results, "dfs-descriptive", descriptive)
 
 
 def crosscheck(g, oracles=None, comb_map=None, seeds=range(3)):
     """Run every route and theorem on one graph; return a report."""
+    if comb_map is not None and comb_map.underlying_graph() != g:
+        raise ValueError("the map must embed the graph")
     results = []
     if oracles is None:
         oracles = {"linear": from_linear_order(list(g.edge_ids))}
@@ -290,6 +285,8 @@ def crosscheck(g, oracles=None, comb_map=None, seeds=range(3)):
             oracles[f"random:{s}"] = random_oracle(g, s)
 
     reference = tutte_definitional(g)
+    trees = gr.spanning_trees(g)
+    forests = gr.spanning_forests(g)
 
     def delcon():
         value = tutte_delcon(g)
@@ -301,24 +298,27 @@ def crosscheck(g, oracles=None, comb_map=None, seeds=range(3)):
     def identical_routes():
         assert len(set(polys.values())) <= 1
     for name, oracle in sorted(oracles.items()):
-        _poly_route_checks(results, g, reference, name, oracle)
-        _structural_checks(results, g, name, oracle)
         polys[name] = tutte_delta(g, oracle)
+        _route_check(results, "tree-activity-sum", name, polys[name],
+                     reference)
+        _route_check(results, "forest-activity-sum", name,
+                     tutte_forest_activity(g, oracle), reference)
+        _structural_checks(results, g, trees, name, oracle)
     _check(results, "oracles-agree", identical_routes)
 
     def ordering_reduction():
         order = list(g.edge_ids)
         oracle = from_linear_order(order)
-        for t in gr.spanning_trees(g):
+        for t in trees:
             assert ordering_active(g, order, t) == delta_activity(g, oracle, t)
     _check(results, "ordering-reduction", ordering_reduction)
 
     if comb_map is not None:
-        _map_checks(results, comb_map)
+        _map_checks(results, comb_map, g, reference, trees, forests)
     try:
         dfs_forest(g, 0)
     except ValueError:
         pass  # multiple edges: the DFS family does not apply
     else:
-        _dfs_checks(results, g)
+        _dfs_checks(results, g, reference, trees, forests)
     return CrosscheckReport(results)

@@ -33,8 +33,10 @@ def tutte_definitional(g) -> BivariatePoly:
     """Sum (x-1)^(cc(S)-cc(G)) (y-1)^cycl(S) over all spanning subgraphs."""
     if not gr.is_connected(g):
         raise ValueError("graph must be connected")
-    tally = Counter((gr.cc(g, s) - 1, gr.cycl(g, s))
-                    for s in gr.submasks(g.full_edge_set()))
+    tally = Counter()
+    for s in gr.submasks(g.full_edge_set()):
+        k = gr.cc(g, s)  # cycl(S) = cc(S) + |S| - |V|
+        tally[k - 1, k + gr.popcount(s) - g.vertex_count] += 1
     return BivariatePoly(tally).substitute_shift(-1, -1)
 
 

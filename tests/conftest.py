@@ -4,6 +4,7 @@ import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities import load_decision_tree, load_graph, load_map
+from tutte_activities.harness import desk_corpus
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -35,6 +36,12 @@ def mask_of(letters):
 
 def letters_of(mask):
     return "".join(sorted(LETTERS[i] for i in gr.edge_ids(mask)))
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """The desk corpus, built once for the whole run."""
+    return desk_corpus()
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,6 @@ recount inside the test backs these numbers without the scan module.
 import time
 from itertools import product
 
-import pytest
-
 from tutte_activities import graph as gr
 from tutte_activities.classic import (blossoming_active,
                                       blossoming_first_visit_order,
@@ -28,8 +26,7 @@ from tutte_activities.decision import (check_tree_compatible,
 from tutte_activities.engine import (DIRECTION_OF_TYPE, delta_activity,
                                      delta_ordering, forest_active,
                                      run_history, type_masks)
-from tutte_activities.harness import (canonical_form, connected_multigraphs,
-                                      desk_corpus)
+from tutte_activities.harness import canonical_form, connected_multigraphs
 from tutte_activities.poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
 from tutte_activities.scan import conjecture_scan
 from tutte_activities.tutte import tutte_definitional, tutte_delcon
@@ -105,11 +102,6 @@ def test_criterion_1_golden_values(g4, d4):
     elapsed = time.time() - start
     assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s"
     report(1, f"{len(routes)} routes match {GOLDEN_G4!r} in {elapsed:.2f}s")
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return desk_corpus()
 
 
 def test_criterion_2_desk_scale_equivalence(corpus):

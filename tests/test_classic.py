@@ -14,7 +14,6 @@ from tutte_activities.comb_map import genus, mirror, parse_map, tour_order
 from tutte_activities.decision import (LEFT, RIGHT, DecisionOracle,
                                        from_linear_order, from_order_map)
 from tutte_activities.engine import delta_activity, delta_ordering, forest_walk
-from tutte_activities.harness import desk_corpus
 from conftest import fixture_graph, fixture_map, letters_of, mask_of
 
 
@@ -403,11 +402,11 @@ def _has_multiple_edges(g):
     return len(set(ends)) < len(ends)
 
 
-def test_dfs_activity_is_the_forest_rule_of_the_marking_dfs_tree():
+def test_dfs_activity_is_the_forest_rule_of_the_marking_dfs_tree(corpus):
     # The marking-DFS edge orders of all spanning forests fit one decision
     # tree, stepping right exactly on forest edges; the loop-at-visit forest
     # rule on that tree gives DFS activity.
-    simple = [g for g in desk_corpus() if not _has_multiple_edges(g)]
+    simple = [g for g in corpus if not _has_multiple_edges(g)]
     assert len(simple) == 70
     for g in simple:
         forests = gr.spanning_forests(g)

@@ -1,5 +1,4 @@
 import random
-from functools import lru_cache
 
 import pytest
 
@@ -12,13 +11,7 @@ from tutte_activities.decision import (check_tree_compatible, explicit_tree,
                                        random_oracle, ExplicitTreeOracle,
                                        RandomOracle)
 from tutte_activities.engine import delta_ordering
-from tutte_activities.harness import desk_corpus
 from conftest import mask_of
-
-
-@lru_cache(maxsize=None)
-def desk_graphs():
-    return desk_corpus()
 
 
 def all_prefixes(m):
@@ -152,13 +145,13 @@ def brute_force_answers(g, table):
     return answers
 
 
-def desk_order_maps():
+def desk_order_maps(corpus):
     """Compatible order maps on every sixth desk-corpus graph.
 
     Per graph: the visit orders of two random oracles, and the marking-DFS
     order map where the graph has no multiple edges.
     """
-    for g in desk_graphs()[::6]:
+    for g in corpus[::6]:
         trees = gr.spanning_trees(g)
         for seed in range(2):
             oracle = random_oracle(g, seed)
@@ -170,8 +163,9 @@ def desk_order_maps():
         yield g, table
 
 
-def test_order_map_match_choice_is_irrelevant(g4, order_map_table_g4):
-    cases = [(g4, order_map_table_g4)] + list(desk_order_maps())
+def test_order_map_match_choice_is_irrelevant(g4, order_map_table_g4,
+                                              corpus):
+    cases = [(g4, order_map_table_g4)] + list(desk_order_maps(corpus))
     assert len(cases) > 110
     for g, table in cases:
         oracle = from_order_map(g, table)
@@ -179,10 +173,10 @@ def test_order_map_match_choice_is_irrelevant(g4, order_map_table_g4):
             assert oracle.next_edge(prefix) == answer, (g, prefix)
 
 
-def test_incompatibility_witness_is_a_divergence():
+def test_incompatibility_witness_is_a_divergence(corpus):
     rng = random.Random(2024)
     rejected = 0
-    for g in desk_graphs()[::3]:
+    for g in corpus[::3]:
         ids = list(g.edge_ids)
         table = {t: rng.sample(ids, len(ids)) for t in gr.spanning_trees(g)}
         witness = check_tree_compatible(g, table)

@@ -12,7 +12,7 @@ from tutte_activities.engine import (DIRECTION_OF_TYPE, MaskMinor,
                                      forest_walk, format_history,
                                      internal_active_no_contract, run_history,
                                      type_masks, types_by_edge)
-from tutte_activities.harness import connected_multigraphs, desk_corpus
+from tutte_activities.harness import connected_multigraphs
 from conftest import fixture_graph, letters_of, mask_of
 
 # Expected types for every subgraph of the parallel triangle under the
@@ -289,11 +289,6 @@ def test_format_history(g4, d4):
 
 
 # -- the decision-tree walk ----------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return desk_corpus()
 
 
 def _materialized(g, oracle):

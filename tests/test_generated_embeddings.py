@@ -21,7 +21,9 @@ from tutte_activities.comb_map import CombMap, genus, mirror, tour_order
 from tutte_activities.decision import from_order_map
 from tutte_activities.engine import delta_activity
 from tutte_activities.harness import canonical_form, connected_multigraphs
+from tutte_activities.poly import BivariatePoly
 from tutte_activities.tutte import tutte_definitional, tutte_delta
+from conftest import FIXTURES, fixture_map
 
 
 def rotation_embedding(g, twist=0):
@@ -113,3 +115,24 @@ def test_tau_terminates_on_every_forest():
                 out = tau(m, f)
                 assert gr.is_spanning_tree(gm, out) or \
                     (out == 0 and gm.vertex_count == 1)
+
+
+def dual_graph(m):
+    """One vertex per face; edge e joins the faces of its two half-edges."""
+    faces = m.faces()
+    face_of = {h: i for i, face in enumerate(faces) for h in face}
+    return gr.Graph(len(faces), [(eid, face_of[a], face_of[b])
+                                 for eid, (a, b) in enumerate(m.edge_pairs())])
+
+
+def test_planar_duality_swaps_x_and_y():
+    maps = [fixture_map(path.stem)
+            for path in sorted((FIXTURES / "maps").glob("*.map"))]
+    maps += [rotation_embedding(g, twist) for g in GRAPHS for twist in (0, 1)]
+    planar = [m for m in maps if genus(m) == 0]
+    assert planar
+    for m in planar:
+        primal = tutte_definitional(m.underlying_graph())
+        swapped = BivariatePoly({(j, i): c
+                                 for (i, j), c in primal.terms.items()})
+        assert tutte_definitional(dual_graph(m)) == swapped, m

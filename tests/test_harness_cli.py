@@ -7,7 +7,7 @@ import pytest
 from tutte_activities import graph as gr
 from tutte_activities import classic, harness
 from tutte_activities.harness import (canonical_form, connected_multigraphs,
-                                      crosscheck, desk_corpus)
+                                      crosscheck)
 from conftest import (FIXTURES, ROOT, fixture_graph, fixture_map, graph_path,
                       map_path)
 
@@ -65,6 +65,26 @@ def test_dfs_oracle_check_catches_a_wrong_dfs_oracle(monkeypatch):
     assert "dfs-descriptive" not in failed
 
 
+@pytest.mark.parametrize("native,failing", [
+    ("tau", {"pruning-preimage-interval"}),
+    ("embedding_active",
+     {"embedding-mirror-max", "embedding-as-decision-oracle"}),
+])
+def test_map_checks_catch_a_wrong_native(pruning_map, monkeypatch, native,
+                                         failing):
+    # Each native is computed once and read by every check that compares
+    # against it, so a wrong native fails each of those checks.
+    monkeypatch.setattr(harness, native, lambda m, mask: -1)
+    report = crosscheck(pruning_map.underlying_graph(), comb_map=pruning_map,
+                        seeds=range(1))
+    assert {r.name for r in report.results if not r.ok} == failing
+
+
+def test_crosscheck_rejects_a_map_of_another_graph(g4, pruning_map):
+    with pytest.raises(ValueError, match="the map must embed the graph"):
+        crosscheck(g4, comb_map=pruning_map)
+
+
 def test_connected_multigraph_enumeration():
     graphs = connected_multigraphs(2)
     # one edge; one loop; two loops; loop plus edge; parallel pair; path:
@@ -81,8 +101,7 @@ def test_crosscheck_over_all_small_multigraphs():
         assert report.ok, (g, report.text())
 
 
-def test_desk_corpus_properties():
-    corpus = desk_corpus()
+def test_desk_corpus_properties(corpus):
     assert len(corpus) >= 200
     assert all(g.vertex_count <= 6 and g.edge_count() <= 8 for g in corpus)
     assert all(gr.is_connected(g) for g in corpus)
@@ -268,7 +287,25 @@ def test_cli_truncated_decision_tree(tmp_path, text):
     bad.write_text(text)
     out = run_cli("tutte", "--graph", G4, "--method", "activity",
                   "--oracle", f"file:{bad}")
-    assert _one_error_line(out) == "error: unexpected end of tree"
+    assert _one_error_line(out) == f"error: {bad}: unexpected end of tree"
+
+
+def test_cli_unparsable_map_names_its_path(tmp_path):
+    bad = tmp_path / "bad.map"
+    bad.write_text("halfedges 2\nsigma (a b)\nalpha (a b)\nroot z\n")
+    out = run_cli("tutte", "--map", str(bad))
+    assert _one_error_line(out) == \
+        f"error: {bad}: unknown root half-edge 'z'"
+    assert out.stdout == ""
+
+
+def test_cli_unparsable_decision_tree_names_its_path(tmp_path):
+    bad = tmp_path / "bad.tree"
+    bad.write_text("2 (1) (3)\n")
+    out = run_cli("tutte", "--graph", G4, "--method", "activity",
+                  "--oracle", f"file:{bad}")
+    assert _one_error_line(out) == f"error: {bad}: expected '('"
+    assert out.stdout == ""
 
 
 def test_parse_decision_tree_truncated():

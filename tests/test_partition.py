@@ -4,7 +4,6 @@ from tutte_activities import graph as gr
 from tutte_activities.decision import from_linear_order, random_oracle
 from tutte_activities.engine import (active_mask, decision_walk,
                                      delta_activity, run_history, type_masks)
-from tutte_activities.harness import desk_corpus
 from tutte_activities.partition import (SubgraphInterval, class_table,
                                         equivalent, forest_partition_activity,
                                         forest_partition_types, interval_of,
@@ -214,10 +213,10 @@ def test_partition_on_ids_not_from_zero():
     }
 
 
-def test_walk_leaves_fix_every_subgraph_history():
+def test_walk_leaves_fix_every_subgraph_history(corpus):
     # The subgraphs typed like the leaf (T, I, E) are exactly those of
     # [T - I, T + E]; each types T - I as Si, I as I, E as L, the rest Se.
-    for g in desk_corpus()[::3]:
+    for g in corpus[::3]:
         full = g.full_edge_set()
         for oracle in (from_linear_order(list(g.edge_ids)),
                        random_oracle(g, 1)):

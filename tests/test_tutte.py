@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -120,6 +121,38 @@ def test_dfs_route_goldens():
 def test_dfs_route_rejects_multigraph(g4):
     with pytest.raises(ValueError):
         tutte_dfs(g4)
+
+
+def _grid(rows, cols):
+    ends = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    ends += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return gr.Graph(rows * cols, [(i, u, v) for i, (u, v) in enumerate(ends)])
+
+
+INDEPENDENT = {
+    "K5": gr.Graph(5, [(i, u, v) for i, (u, v)
+                       in enumerate(combinations(range(5), 2))]),
+    "grid3x3": _grid(3, 3),
+    "loop_and_parallel": gr.Graph(5, [
+        (0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 0),
+        (5, 1, 1), (6, 0, 1), (7, 1, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEPENDENT))
+def test_delcon_and_activity_match_networkx(name):
+    # An implementation outside this library, compared term by term.
+    nx = pytest.importorskip("networkx")
+    sympy = pytest.importorskip("sympy")
+    g = INDEPENDENT[name]
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from((u, v) for _, u, v in g.edges)
+    x, y = sympy.symbols("x y")
+    expected = {exps: int(c) for exps, c in sympy.Poly(
+        nx.tutte_polynomial(h), x, y).as_dict().items()}
+    assert tutte_delcon(g).terms == expected
+    assert tutte_delta(g, random_oracle(g, 0)).terms == expected
 
 
 @pytest.mark.parametrize("seed", range(25))
