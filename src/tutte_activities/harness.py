@@ -19,7 +19,7 @@ from .classic import (blossoming_active, blossoming_internal_active,
                       dfs_order_map, embedding_active, maximal_active,
                       order_map_oracle, ordering_active, tau)
 from .comb_map import CombMap, mirror, tour_order
-from .decision import from_linear_order, random_oracle
+from .decision import from_linear_order, from_order_map, random_oracle
 from .engine import (TYPE_I, TYPE_L, TYPE_SE, TYPE_SI, decision_walk,
                      delta_activity, delta_ordering, forest_walk,
                      internal_active_no_contract, run_history, type_masks)
@@ -206,15 +206,17 @@ def _map_checks(results, m: CombMap, g, ref, trees, forests):
     embedded = {t: embedding_active(m, t) for t in trees}
     pruned = {t: blossoming_internal_active(m, t) for t in trees}
     mm = mirror(m)
+    mirror_orders = {t: tour_order(mm, t)[1] for t in trees}
 
     def embedding_vs_mirror():
         for t in trees:
-            _, mirror_order = tour_order(mm, t)
-            assert embedded[t] == maximal_active(g, mirror_order, t), (
+            assert embedded[t] == maximal_active(g, mirror_orders[t], t), (
                 f"mirror max rule diverges on tree {t:#x}")
     _check(results, "embedding-mirror-max", embedding_vs_mirror)
 
-    embedding = order_map_oracle("embedding", g, m)
+    # The embedding family's oracle (`order_map_oracle("embedding", ...)`),
+    # built from the mirror tour orders above.
+    embedding = from_order_map(g, mirror_orders)
 
     def embedding_as_delta():
         for t in trees:

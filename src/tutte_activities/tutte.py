@@ -4,7 +4,10 @@ Every route returns an exact BivariatePoly.  The subgraph-sum definition and
 the deletion/contraction recursion need no extra data; the remaining routes
 take a decision oracle (or a ready-made activity) and sum monomials over
 spanning trees, forests, connected subgraphs or all subgraphs.  Each route
-tallies the exponents of its terms and expands the tally once.
+tallies the exponents of its terms and expands the tally once.  The
+deletion/contraction recursion runs one layer of minors per edge and merges
+equal minors, so its cost follows the number of distinct minors rather than
+the 2^m branches.
 
 The oracle's subgraph sums read one walk of the decision tree.  The
 subgraphs typed like the leaf (T, I, E) are those of [T - I, T + E]: each
@@ -41,24 +44,111 @@ def tutte_definitional(g) -> BivariatePoly:
 
 
 def tutte_delcon(g) -> BivariatePoly:
-    """Deletion/contraction recursion pivoting on the smallest edge id."""
+    """Deletion/contraction, one layer of merged minors per edge.
+
+    The edges are taken in one pivot order read off the graph (see
+    `_pivot_order`), so every minor of layer k has the same remaining edges.
+    A minor is keyed by their endpoints in that order, vertices relabelled
+    by first appearance; each key holds a tally of the (isthmuses, loops)
+    pairs reaching it.  Every minor stays connected, so its key alone fixes
+    the rest of the sum and equal keys merge by adding their tallies.
+    """
     if not gr.is_connected(g):
         raise ValueError("graph must be connected")
-    tally = Counter()
+    ends = []
+    for _, u, v in _pivot_order(g):
+        ends += (u, v)
+    layer = {_relabel(ends): Counter({(0, 0): 1})}
+    for _ in range(g.edge_count()):
+        nxt = {}
+        for key, tally in layer.items():
+            rest = key[2:]  # the key's first edge is (0, 0) or (0, 1)
+            if key[1] == 0:  # a loop is only deleted
+                moves = ((_relabel(rest), 0, 1),)
+            elif _is_isthmus(key):  # an isthmus is only contracted
+                moves = ((_relabel(rest, True), 1, 0),)
+            else:
+                moves = ((_relabel(rest), 0, 0), (_relabel(rest, True), 0, 0))
+            for child, di, dl in moves:
+                part = tally
+                if di or dl:
+                    part = Counter({(i + di, j + dl): c
+                                    for (i, j), c in tally.items()})
+                into = nxt.get(child)
+                if into is not None:
+                    into.update(part)
+                else:  # a standard edge hands its tally to two children
+                    nxt[child] = part.copy() if part is tally else part
+        layer = nxt
+    return BivariatePoly(layer[()])
 
-    def rec(h, isthmuses, loops):
-        if h.edge_count() == 0:
-            tally[isthmuses, loops] += 1
-            return
-        eid = h.edges[0][0]
-        kind = gr.classify_edge(h, eid)
-        if kind != gr.ISTHMUS:  # a loop is only deleted
-            rec(gr.delete(h, eid), isthmuses, loops + (kind == gr.LOOP))
-        if kind != gr.LOOP:  # an isthmus only contracted
-            rec(gr.contract(h, eid), isthmuses + (kind == gr.ISTHMUS), loops)
 
-    rec(g, 0, 0)
-    return BivariatePoly(tally)
+def _pivot_order(g):
+    """Edges by the BFS rank of their later, then earlier, endpoint.
+
+    The ranks come from a breadth-first search started at the vertex that a
+    first search, from vertex 0, reaches last; both visit neighbours by
+    vertex id, and edge ids only break ties.  Starting at the far end keeps
+    the layers narrow whatever the ids are: on a grid it starts at a corner
+    rather than wherever vertex 0 happens to lie.
+    """
+    adj = [set() for _ in range(g.vertex_count)]
+    for _, u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def bfs(start):
+        order, seen = [start], {start}
+        for w in order:
+            fresh = sorted(adj[w] - seen)
+            seen.update(fresh)
+            order += fresh
+        return order
+    rank = {w: r for r, w in enumerate(bfs(bfs(0)[-1]))}
+
+    def place(edge):
+        eid, u, v = edge
+        a, b = sorted((rank[u], rank[v]))
+        return b, a, eid
+    return sorted(g.edges, key=place)
+
+
+def _relabel(ends, merge=False):
+    """The endpoint list with vertices renamed 0, 1, ... by first appearance.
+
+    With `merge`, vertices 0 and 1 become one: the contraction of a key's
+    first edge.
+    """
+    names = {}
+    count = 0
+    for w in dict.fromkeys(ends):
+        if merge and w < 2 and 1 - w in names:
+            names[w] = names[1 - w]
+        else:
+            names[w] = count
+            count += 1
+    return tuple(map(names.__getitem__, ends))
+
+
+def _is_isthmus(key):
+    """Whether no other edge of the key joins its first edge's endpoints.
+
+    One union-find over the other edges, with path halving.
+    """
+    parent = list(range(max(key) + 1))
+    for k in range(2, len(key), 2):
+        a, b = key[k], key[k + 1]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[b] = a
+    a, b = key[0], key[1]
+    while parent[a] != a:
+        a = parent[a]
+    while parent[b] != b:
+        b = parent[b]
+    return a != b
 
 
 def tutte_activity(g, activity) -> BivariatePoly:

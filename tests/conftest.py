@@ -1,4 +1,6 @@
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +38,58 @@ def mask_of(letters):
 
 def letters_of(mask):
     return "".join(sorted(LETTERS[i] for i in gr.edge_ids(mask)))
+
+
+def kirchhoff_count(g):
+    """Independent spanning-tree count: determinant of a reduced Laplacian.
+
+    Exact rational Gaussian elimination; loops do not enter the Laplacian.
+    """
+    n = g.vertex_count
+    if n == 1:
+        return 1
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for _, u, v in g.edges:
+        if u != v:
+            lap[u][u] += 1
+            lap[v][v] += 1
+            lap[u][v] -= 1
+            lap[v][u] -= 1
+    mat = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    size = n - 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for r in range(col + 1, size):
+            factor = mat[r][col] / mat[col][col]
+            for c in range(col, size):
+                mat[r][c] -= factor * mat[col][c]
+    assert det.denominator == 1
+    return int(det)
+
+
+def grid(rows, cols):
+    """The rows x cols grid graph, vertices row by row, ids 0..m-1."""
+    ends = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    ends += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return gr.Graph(rows * cols, [(i, u, v) for i, (u, v) in enumerate(ends)])
+
+
+def permuted(g, seed):
+    """The graph with its vertex ids and edge ids shuffled by `seed`."""
+    rng = random.Random(seed)
+    vertices = list(range(g.vertex_count))
+    rng.shuffle(vertices)
+    ids = list(g.edge_ids)
+    rng.shuffle(ids)
+    return gr.Graph(g.vertex_count, [(i, vertices[u], vertices[v])
+                                     for i, (_, u, v) in zip(ids, g.edges)])
 
 
 @pytest.fixture(scope="session")

@@ -1,44 +1,9 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from tutte_activities import graph as gr
-from conftest import fixture_graph, letters_of, mask_of
-
-
-def kirchhoff_count(g):
-    """Independent spanning-tree count: determinant of a reduced Laplacian.
-
-    Exact rational Gaussian elimination; loops do not enter the Laplacian.
-    """
-    n = g.vertex_count
-    if n == 1:
-        return 1
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for _, u, v in g.edges:
-        if u != v:
-            lap[u][u] += 1
-            lap[v][v] += 1
-            lap[u][v] -= 1
-            lap[v][u] -= 1
-    mat = [row[1:] for row in lap[1:]]
-    det = Fraction(1)
-    size = n - 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        for r in range(col + 1, size):
-            factor = mat[r][col] / mat[col][col]
-            for c in range(col, size):
-                mat[r][c] -= factor * mat[col][c]
-    assert det.denominator == 1
-    return int(det)
+from conftest import fixture_graph, kirchhoff_count, letters_of, mask_of
 
 
 def test_classify_examples(g4):

@@ -5,11 +5,11 @@ import sys
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities import classic, harness
+from tutte_activities import classic, cli, harness
 from tutte_activities.harness import (canonical_form, connected_multigraphs,
                                       crosscheck)
 from conftest import (FIXTURES, ROOT, fixture_graph, fixture_map, graph_path,
-                      map_path)
+                      grid, map_path, permuted)
 
 TREE_FILE = FIXTURES / "trees" / "parallel_triangle.tree"
 
@@ -130,6 +130,30 @@ def test_cli_tutte_methods(method, extra):
     out = run_cli("tutte", "--graph", G4, "--method", method, *extra)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == GOLDEN
+
+
+def _terms(text):
+    """{(i, j): c} of a printed polynomial whose coefficients are positive."""
+    terms = {}
+    for term in text.split(" + "):
+        coeff, exps = 1, [0, 0]
+        for factor in term.split("*"):
+            base, _, exp = factor.partition("^")
+            if base in ("x", "y"):
+                exps["xy".index(base)] = int(exp or 1)
+            else:
+                coeff = int(factor)
+        terms[tuple(exps)] = coeff
+    return terms
+
+
+def test_cli_delcon_reaches_grid_6x6(tmp_path, capsys):
+    path = tmp_path / "grid6x6.graph"
+    gr.save_graph(permuted(grid(6, 6), 1), path)
+    cli.main(["tutte", "--graph", str(path), "--method", "delcon"])
+    terms = _terms(capsys.readouterr().out.strip())
+    assert sum(terms.values()) == 32_565_539_635_200  # T(1,1)
+    assert sum(c << (i + j) for (i, j), c in terms.items()) == 2 ** 60
 
 
 def test_cli_tutte_embedding_oracle():

@@ -10,8 +10,8 @@ from tutte_activities.decision import (from_linear_order,  # noqa: E402
                                        random_oracle)
 from tutte_activities.partition import (  # noqa: E402
     class_table, forest_partition_activity, is_partition_of_lattice)
-from tutte_activities.tutte import (tutte_delcon, tutte_delta,  # noqa: E402
-                                    tutte_forest_activity)
+from tutte_activities.tutte import (  # noqa: E402
+    tutte_definitional, tutte_delcon, tutte_delta, tutte_forest_activity)
 
 
 @st.composite
@@ -35,6 +35,7 @@ def multigraphs(draw):
 @given(multigraphs(), st.integers(-5, 1000))
 def test_activity_routes_and_classes_on_any_ids(g, seed):
     reference = tutte_delcon(g)
+    assert tutte_definitional(g) == reference
     oracle = random_oracle(g, seed)
     linear = from_linear_order(g.edge_ids)
     assert tutte_delta(g, oracle) == reference

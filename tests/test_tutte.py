@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,12 +9,13 @@ from tutte_activities import graph as gr
 from tutte_activities.classic import embedding_active, ordering_active
 from tutte_activities.decision import from_linear_order, random_oracle
 from tutte_activities.engine import delta_activity, run_history, type_masks
+from tutte_activities.harness import connected_multigraphs
 from tutte_activities.poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
 from tutte_activities.tutte import (tutte_activity, tutte_connected,
                                     tutte_definitional, tutte_delcon,
                                     tutte_delta, tutte_dfs, tutte_forest,
                                     tutte_forest_activity, tutte_half)
-from conftest import fixture_graph
+from conftest import fixture_graph, grid, kirchhoff_count, permuted
 
 GOLDEN_G4 = "x^2 + x*y + x + y^2 + y"
 
@@ -34,6 +36,74 @@ def test_delcon_goldens(g4):
     assert str(tutte_delcon(g4)) == GOLDEN_G4
     assert str(tutte_delcon(fixture_graph("two_loop_bouquet"))) == "y^2"
     assert str(tutte_delcon(fixture_graph("two_parallel"))) == "x + y"
+
+
+def _delcon_reference(g):
+    """Deletion/contraction on rebuilt minors, pivoting on the smallest id."""
+    tally = Counter()
+
+    def rec(h, isthmuses, loops):
+        if h.edge_count() == 0:
+            tally[isthmuses, loops] += 1
+            return
+        eid = h.edges[0][0]
+        kind = gr.classify_edge(h, eid)
+        if kind != gr.ISTHMUS:  # a loop is only deleted
+            rec(gr.delete(h, eid), isthmuses, loops + (kind == gr.LOOP))
+        if kind != gr.LOOP:  # an isthmus only contracted
+            rec(gr.contract(h, eid), isthmuses + (kind == gr.ISTHMUS), loops)
+
+    rec(g, 0, 0)
+    return BivariatePoly(tally)
+
+
+def _complete(n):
+    return gr.Graph(n, [(i, u, v) for i, (u, v)
+                        in enumerate(combinations(range(n), 2))])
+
+
+def test_delcon_equals_the_rebuilt_minor_recursion(corpus):
+    for seed, g in enumerate(corpus):
+        h = permuted(g, seed)
+        assert tutte_delcon(h) == _delcon_reference(h), h
+    for g in connected_multigraphs(4):
+        assert tutte_delcon(g) == _delcon_reference(g), g
+
+
+@pytest.mark.parametrize("g", [grid(5, 5), _complete(8)],
+                         ids=["grid5x5", "K8"])
+def test_delcon_on_larger_graphs_meets_the_independent_counts(g):
+    h = permuted(g, 1)
+    poly = tutte_delcon(h)
+    assert poly.evaluate(1, 1) == kirchhoff_count(h)
+    assert poly.evaluate(2, 2) == 2 ** h.edge_count()
+
+
+def test_delcon_is_iterative_on_a_long_path_and_bouquet():
+    path = gr.Graph(1101, [(i, i, i + 1) for i in range(1100)])
+    assert str(tutte_delcon(path)) == "x^1100"
+    bouquet = gr.Graph(1, [(i, 0, 0) for i in range(1100)])
+    assert str(tutte_delcon(bouquet)) == "y^1100"
+
+
+def test_every_route_meets_the_independent_counts(corpus):
+    # T(1,1) is the matrix-tree count and T(2,2) = 2^m, on every route.
+    oracle_routes = (tutte_delta, tutte_forest, tutte_connected, tutte_half,
+                     tutte_forest_activity)
+    for g in corpus:
+        polys = {"definitional": tutte_definitional(g),
+                 "delcon": tutte_delcon(g)}
+        pairs = [(min(u, v), max(u, v)) for _, u, v in g.edges]
+        if len(set(pairs)) == len(pairs):  # the DFS family applies
+            polys["dfs"] = tutte_dfs(g)
+        for spec, oracle in (("linear", from_linear_order(list(g.edge_ids))),
+                             ("random:0", random_oracle(g, 0))):
+            for route in oracle_routes:
+                polys[f"{route.__name__}[{spec}]"] = route(g, oracle)
+        trees = kirchhoff_count(g)
+        for name, poly in polys.items():
+            assert poly.evaluate(1, 1) == trees, (name, g)
+            assert poly.evaluate(2, 2) == 2 ** g.edge_count(), (name, g)
 
 
 @pytest.mark.parametrize("name", [
@@ -123,16 +193,9 @@ def test_dfs_route_rejects_multigraph(g4):
         tutte_dfs(g4)
 
 
-def _grid(rows, cols):
-    ends = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
-    ends += [(v, v + cols) for v in range((rows - 1) * cols)]
-    return gr.Graph(rows * cols, [(i, u, v) for i, (u, v) in enumerate(ends)])
-
-
 INDEPENDENT = {
-    "K5": gr.Graph(5, [(i, u, v) for i, (u, v)
-                       in enumerate(combinations(range(5), 2))]),
-    "grid3x3": _grid(3, 3),
+    "K5": _complete(5),
+    "grid3x3": grid(3, 3),
     "loop_and_parallel": gr.Graph(5, [
         (0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 0),
         (5, 1, 1), (6, 0, 1), (7, 1, 3)]),
