@@ -19,6 +19,8 @@ from .graph import Graph, spanning_trees
 LEFT = "l"
 RIGHT = "r"
 
+_DIRECTIONS = frozenset((LEFT, RIGHT))
+
 EXPLICIT_TREE_MAX_EDGES = 16
 
 
@@ -30,29 +32,53 @@ class DecisionOracle:
     and remembered, so the same prefix always yields the same edge and the
     answers along any root-to-leaf path are pairwise distinct.  This base
     class serves a complete table; subclasses fill theirs lazily.
+
+    The edges on a missing prefix's path come from the path record: entry k
+    holds the last prefix of length k answered and the mask of the answers
+    on its path, its own included.  A walk asks a node right after its
+    parent or, on popping a branch, right after a subtree below the parent,
+    so entry k-1 is the parent's and a miss costs one entry read.  The entry
+    counts only when its whole prefix equals the parent and the record was
+    built from the current table; otherwise the miss reads its ancestors
+    root first and records them on the way.
     """
 
     def __init__(self, edge_ids, table=None):
         self.edge_ids = tuple(sorted(set(edge_ids)))
         self.m = len(self.edge_ids)
         self.table = {} if table is None else table
+        self._record = (None, [])  # (table it was built from, entries)
 
     def next_edge(self, prefix):
         table = self.table
         try:
-            return table[prefix]
-        except (KeyError, TypeError):  # a new prefix, or one given as a list
+            answer = table.get(prefix)
+        except TypeError:  # a prefix given as a list
             prefix = tuple(prefix)
-        answer = table.get(prefix)
+            answer = table.get(prefix)
         if answer is None:
             self._check_prefix(prefix)
-            used = set()
-            for j in range(len(prefix)):
-                above = table.get(prefix[:j])
-                used.add(self.next_edge(prefix[:j]) if above is None else above)
+            owner, path = self._record
+            if owner is not table:
+                path = [None] * self.m
+                self._record = (table, path)
+            k = len(prefix)
+            above = path[k - 1] if k else ((), 0)
+            if above is not None and above[0] == prefix[:-1]:
+                used = above[1]
+            else:
+                used = 0
+                for j in range(k):
+                    node = prefix[:j]
+                    edge = table.get(node)
+                    if edge is None:
+                        edge = self.next_edge(node)
+                    used |= 1 << edge
+                    path[j] = (node, used)
             answer = self.choose(prefix, [e for e in self.edge_ids
-                                          if e not in used])
+                                          if not (used >> e) & 1])
             table[prefix] = answer
+            path[k] = (prefix, used | 1 << answer)
         return answer
 
     def choose(self, prefix, unused):
@@ -62,9 +88,14 @@ class DecisionOracle:
     def _check_prefix(self, prefix):
         if len(prefix) >= self.m:
             raise ValueError("direction sequence at least as long as the edge count")
-        for d in prefix:
-            if d not in (LEFT, RIGHT):
-                raise ValueError(f"bad direction {d!r}")
+        try:
+            ok = _DIRECTIONS.issuperset(prefix)
+        except TypeError:  # an unhashable direction
+            ok = False
+        if not ok:
+            for d in prefix:
+                if d not in (LEFT, RIGHT):
+                    raise ValueError(f"bad direction {d!r}")
 
 
 class ExplicitTreeOracle(DecisionOracle):
@@ -159,6 +190,8 @@ class RandomOracle(DecisionOracle):
         self.seed = seed
 
     def choose(self, prefix, unused):
+        if len(unused) == 1:  # what `choice` returns, without the seeding
+            return unused[0]
         return random.Random(f"{self.seed}|{''.join(prefix)}").choice(unused)
 
 

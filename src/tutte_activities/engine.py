@@ -2,10 +2,17 @@
 
 A minor of the input graph G is held as two bitmasks over G's edge ids,
 `contracted` and `deleted`; every other edge survives.  No graph is built
-along the way: `MaskMinor.classify` types a surviving edge with one
-union-find pass over G's vertices.  The edge is a loop of the minor when its
-endpoints meet through the contracted edges alone, and an isthmus when they
-do not meet through every surviving edge except itself.
+along the way.  The contracted edges are also held as labels: each vertex
+maps to the root of its class (`MaskMinor.labels`).  An edge is a loop of
+the minor when its endpoints share a label, and an isthmus when they do not
+meet through every other surviving edge: one union-find pass, seeded from
+the labels (`MaskMinor.kind`).  `MaskMinor.classify` is the two in one call.
+
+The labels change only when an edge is contracted.  The single passes
+update them in place (`MaskMinor.contract`).  The walks build them once per
+branch popped off their stack, from that branch's `contracted` mask: along
+the branch they delete edges and type loops and isthmuses, none of which
+moves a label.
 
 The typing pass visits the edges in the order dictated by the oracle.  The
 visited edge is classified in the current minor H: a standard external edge
@@ -42,7 +49,10 @@ DIRECTION_OF_TYPE = {TYPE_SE: LEFT, TYPE_L: LEFT, TYPE_SI: RIGHT, TYPE_I: RIGHT}
 
 
 class MaskMinor:
-    """The minors of one graph, each given as (contracted, deleted) masks."""
+    """The minors of one graph, each given as (contracted, deleted) masks.
+
+    The contracted classes also come as labels, one class root per vertex.
+    """
 
     __slots__ = ("vertex_count", "ends", "edges")
 
@@ -54,35 +64,54 @@ class MaskMinor:
         self.ends = g._by_id
         self.edges = g.edges
 
-    def classify(self, contracted, deleted, eid):
-        """Loop, Isthmus or Standard: the kind of a surviving edge."""
+    def labels(self, contracted):
+        """Per vertex, the root of its class under the contracted edges."""
         ends = self.ends
-        u, v = ends[eid]
+        labels = list(range(self.vertex_count))
+        while contracted:
+            low = contracted & -contracted
+            contracted ^= low
+            a, b = ends[low.bit_length() - 1]
+            while labels[a] != a:
+                a = labels[a]
+            while labels[b] != b:
+                b = labels[b]
+            labels[a] = b
+        for w, a in enumerate(labels):
+            while labels[a] != a:
+                a = labels[a]
+            labels[w] = a
+        return labels
+
+    def contract(self, labels, eid):
+        """Merge the classes of an edge's ends in place."""
+        u, v = self.ends[eid]
+        a, b = labels[u], labels[v]
+        if a != b:
+            for w, c in enumerate(labels):
+                if c == a:
+                    labels[w] = b
+
+    def kind(self, labels, gone, eid):
+        """Loop, Isthmus or Standard, given the contracted classes' labels.
+
+        `gone` holds the contracted and the deleted edges.  The isthmus test
+        is one union-find over the other surviving edges, seeded from the
+        labels.
+        """
+        u, v = self.ends[eid]
+        u = labels[u]
+        v = labels[v]
         if u == v:
             return gr.LOOP
-        parent = list(range(self.vertex_count))
-        if contracted:
-            rest = contracted
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                a, b = ends[low.bit_length() - 1]
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                parent[a] = b
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u == v:
-                return gr.LOOP
-        surviving = ~(contracted | deleted | (1 << eid))
+        parent = labels[:]
+        gone |= 1 << eid
         for f, a, b in self.edges:
-            if (surviving >> f) & 1:
+            if not (gone >> f) & 1:
+                a = parent[a]
                 while parent[a] != a:
                     a = parent[a]
+                b = parent[b]
                 while parent[b] != b:
                     b = parent[b]
                 parent[a] = b
@@ -92,12 +121,16 @@ class MaskMinor:
             v = parent[v]
         return gr.STANDARD if u == v else gr.ISTHMUS
 
-    def visit(self, oracle, prefix, typed, contracted, deleted):
-        """One step: the oracle's next edge, its bit and its kind."""
+    def classify(self, contracted, deleted, eid):
+        """Loop, Isthmus or Standard: the kind of a surviving edge."""
+        return self.kind(self.labels(contracted), contracted | deleted, eid)
+
+    def visit(self, oracle, prefix, typed):
+        """The oracle's next edge, checked to be a known edge not yet typed."""
         eid = oracle.next_edge(prefix)
         if eid not in self.ends or (typed >> eid) & 1:
             raise ValueError(f"oracle returned unusable edge {eid}")
-        return eid, 1 << eid, self.classify(contracted, deleted, eid)
+        return eid
 
 
 def _connected_minor(g):
@@ -115,15 +148,19 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
     they never change the output, only the masks the pass carries.
     """
     minor = _connected_minor(g)
+    labels = minor.labels(0)
     contracted = deleted = typed = 0
     prefix = ()
     history = []
     for _ in range(g.edge_count()):
-        eid, bit, kind = minor.visit(oracle, prefix, typed, contracted, deleted)
+        eid = minor.visit(oracle, prefix, typed)
+        bit = 1 << eid
+        kind = minor.kind(labels, contracted | deleted, eid)
         typed |= bit
         if kind == gr.STANDARD:
             if subgraph_mask & bit:
                 contracted |= bit
+                minor.contract(labels, eid)
                 etype = TYPE_SI
             else:
                 deleted |= bit
@@ -135,6 +172,7 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
         else:  # isthmus
             if contract_isthmuses:
                 contracted |= bit
+                minor.contract(labels, eid)
             etype = TYPE_I
         history.append((eid, etype))
         prefix += (DIRECTION_OF_TYPE[etype],)
@@ -155,10 +193,12 @@ def decision_walk(g, oracle):
     stack = [((), 0, 0, 0, 0)]
     while stack:
         prefix, contracted, deleted, internal, external = stack.pop()
+        labels = minor.labels(contracted)
         while len(prefix) < m:
             typed = contracted | deleted | internal | external
-            eid, bit, kind = minor.visit(oracle, prefix, typed, contracted,
-                                         deleted)
+            eid = minor.visit(oracle, prefix, typed)
+            bit = 1 << eid
+            kind = minor.kind(labels, contracted | deleted, eid)
             if kind == gr.STANDARD:
                 stack.append((prefix + (RIGHT,), contracted | bit, deleted,
                               internal, external))
@@ -178,17 +218,22 @@ def forest_walk(g, oracle):
 
     Nothing is deleted: a loop at its visit is active and steers left, and
     every other edge branches, out of the forest (left) or contracted (right).
+    Only loops are told apart, so the labels alone type an edge.
     """
     minor = _connected_minor(g)
+    ends = minor.ends
     m = g.edge_count()
     # (prefix, contracted, typed, active)
     stack = [((), 0, 0, 0)]
     while stack:
         prefix, contracted, typed, active = stack.pop()
+        labels = minor.labels(contracted)
         while len(prefix) < m:
-            eid, bit, kind = minor.visit(oracle, prefix, typed, contracted, 0)
+            eid = minor.visit(oracle, prefix, typed)
+            bit = 1 << eid
             typed |= bit
-            if kind == gr.LOOP:
+            u, v = ends[eid]
+            if labels[u] == labels[v]:
                 active |= bit
             else:
                 stack.append((prefix + (RIGHT,), contracted | bit, typed,
@@ -242,11 +287,14 @@ def internal_active_no_contract(g, oracle, tree_mask):
     if not gr.is_spanning_tree(g, tree_mask):
         raise ValueError("edge set is not a spanning tree")
     minor = MaskMinor(g)
+    labels = minor.labels(0)
     deleted = typed = 0
     prefix = ()
     result = 0
     for _ in range(g.edge_count()):
-        eid, bit, kind = minor.visit(oracle, prefix, typed, 0, deleted)
+        eid = minor.visit(oracle, prefix, typed)
+        bit = 1 << eid
+        kind = minor.kind(labels, deleted, eid)
         typed |= bit
         if kind != gr.ISTHMUS and not tree_mask & bit:
             deleted |= bit
@@ -266,17 +314,21 @@ def forest_active(g, oracle, subgraph_mask):
     output is its set of cycle-closing active external edges.
     """
     minor = _connected_minor(g)
-    contracted = typed = 0
+    ends = minor.ends
+    labels = minor.labels(0)
+    typed = 0
     prefix = ()
     result = 0
     for _ in range(g.edge_count()):
-        eid, bit, kind = minor.visit(oracle, prefix, typed, contracted, 0)
+        eid = minor.visit(oracle, prefix, typed)
+        bit = 1 << eid
         typed |= bit
-        if kind == gr.LOOP:
+        u, v = ends[eid]
+        if labels[u] == labels[v]:
             result |= bit
             prefix += (LEFT,)
         elif subgraph_mask & bit:
-            contracted |= bit
+            minor.contract(labels, eid)
             prefix += (RIGHT,)
         else:
             prefix += (LEFT,)

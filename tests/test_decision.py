@@ -3,15 +3,15 @@ import random
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities.classic import dfs_order_map
+from tutte_activities.classic import DfsOracle, dfs_order_map
 from tutte_activities.comb_map import mirror, tour_order
 from tutte_activities.decision import (check_tree_compatible, explicit_tree,
                                        format_decision_tree, from_linear_order,
                                        from_order_map, parse_decision_tree,
                                        random_oracle, ExplicitTreeOracle,
                                        RandomOracle)
-from tutte_activities.engine import delta_ordering
-from conftest import mask_of
+from tutte_activities.engine import decision_walk, delta_ordering, forest_walk
+from conftest import fixture_graph, mask_of, permuted
 
 
 def all_prefixes(m):
@@ -296,10 +296,14 @@ PINNED_RANDOM = {
 PINNED_D4 = (2, 1, 3, 0, 0, 1, 0, 3, 3, 3, 3, 0, 0, 1, 1)
 
 
+def _pinned_graph(g4, name):
+    return g4 if name == "g4" else gr.Graph(
+        3, [(5, 0, 1), (7, 1, 2), (9, 2, 0), (11, 0, 1)])
+
+
 @pytest.mark.parametrize("name,seed", sorted(PINNED_RANDOM))
 def test_random_oracle_answers_are_pinned(g4, name, seed):
-    g = g4 if name == "g4" else gr.Graph(
-        3, [(5, 0, 1), (7, 1, 2), (9, 2, 0), (11, 0, 1)])
+    g = _pinned_graph(g4, name)
     prefixes = all_prefixes(4)
     want = PINNED_RANDOM[name, seed]
     # shallow-first and deep-first queries give the same answers
@@ -324,3 +328,112 @@ def test_prefixes_may_be_lists(d4):
     assert d4.next_edge(["r", "l"]) == d4.next_edge(("r", "l")) == 1
     with pytest.raises(ValueError, match="bad direction"):
         d4.next_edge(["x"])
+
+
+# -- the path record -------------------------------------------------------------
+
+
+def _lazy_oracles(g):
+    """Fresh-oracle makers for the three lazily filled tables.
+
+    The order map comes from a random oracle's visit orders, so its table
+    holds the tree paths only and every other branch falls back.
+    """
+    orders = {t: delta_ordering(g, random_oracle(g, 9), t)
+              for t in gr.spanning_trees(g)}
+    return {"random": lambda: random_oracle(g, 2),
+            "dfs": lambda: DfsOracle(g),
+            "order-map": lambda: from_order_map(g, orders)}
+
+
+def _record_graphs():
+    """Simple graphs, ids and vertices permuted, m from 3 to 8."""
+    return [permuted(fixture_graph(name), 3)
+            for name in ("triangle", "cycle4", "dfs_five", "dfs_six")]
+
+
+def _asked_in_walk_order(walk, g, oracle):
+    """(prefix, answer) for every node of the walk, in the order asked."""
+    asked = []
+
+    class Recording:
+        def next_edge(self, prefix):
+            asked.append((prefix, oracle.next_edge(prefix)))
+            return asked[-1][1]
+
+    for _ in walk(g, Recording()):
+        pass
+    return asked
+
+
+@pytest.mark.parametrize("walk", [decision_walk, forest_walk])
+def test_walk_order_queries_give_pinned_and_fresh_answers(g4, walk):
+    for (name, seed), want in PINNED_RANDOM.items():
+        g = _pinned_graph(g4, name)
+        pinned = dict(zip(all_prefixes(4), want))
+        asked = _asked_in_walk_order(walk, g, random_oracle(g, seed))
+        assert [a for _, a in asked] == [pinned[p] for p, _ in asked], (
+            name, seed)
+    for g in _record_graphs():
+        for name, make in _lazy_oracles(g).items():
+            for prefix, answer in _asked_in_walk_order(walk, g, make()):
+                assert make().next_edge(prefix) == answer, (g, name, prefix)
+
+
+def test_swapped_table_answers_like_a_fresh_oracle():
+    # the scan's swap: after a walk the record describes the old table, so
+    # the new one must not read it, whatever order its queries come in
+    rng = random.Random(7)
+    for g in _record_graphs():
+        prefixes = [p for p, _ in _asked_in_walk_order(
+            forest_walk, g, random_oracle(g, 0))]
+        for name, make in _lazy_oracles(g).items():
+            oracle = make()
+            list(forest_walk(g, oracle))
+            oracle.table = {}
+            rng.shuffle(prefixes)
+            answers = {p: oracle.next_edge(p) for p in prefixes}
+            fresh = make()
+            fresh.table = {}
+            assert all(fresh.next_edge(p) == answers[p] for p in prefixes), (
+                g, name)
+
+
+def test_deep_misses_after_a_walk_answer_like_a_fresh_oracle():
+    # each deepest prefix is asked right after a walk or another deep
+    # branch, mostly with its ancestors missing: the walk never takes the
+    # second way at a loop or an isthmus
+    rng = random.Random(8)
+    for g in _record_graphs():
+        deepest = all_prefixes(g.edge_count())[-(1 << g.edge_count() - 1):]
+        for name, make in _lazy_oracles(g).items():
+            oracle = make()
+            list(decision_walk(g, oracle))
+            missing = 0
+            for prefix in rng.sample(deepest, len(deepest)):
+                missing += prefix not in oracle.table
+                assert oracle.next_edge(prefix) == make().next_edge(prefix), (
+                    g, name, prefix)
+            assert missing, (g, name)
+
+
+def test_concurrent_misses_share_the_record_safely():
+    # more threads than cores, switching every microsecond, all missing
+    # prefixes of one oracle in shuffled order
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    g = permuted(fixture_graph("dfs_six"), 3)
+    prefixes = all_prefixes(g.edge_count()) * 4
+    random.Random(9).shuffle(prefixes)
+    for name, make in _lazy_oracles(g).items():
+        want = {p: make().next_edge(p) for p in set(prefixes)}
+        oracle = make()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                answers = list(pool.map(oracle.next_edge, prefixes,
+                                        timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [want[p] for p in prefixes], name

@@ -13,7 +13,7 @@ from tutte_activities.engine import (DIRECTION_OF_TYPE, MaskMinor,
                                      internal_active_no_contract, run_history,
                                      type_masks, types_by_edge)
 from tutte_activities.harness import connected_multigraphs
-from conftest import fixture_graph, letters_of, mask_of
+from conftest import fixture_graph, letters_of, mask_of, permuted
 
 # Expected types for every subgraph of the parallel triangle under the
 # fixture decision tree, grouped by equivalence class.  The singleton class
@@ -332,6 +332,54 @@ def test_forest_walk_leaves_are_the_spanning_forests_with_their_actives(
             assert sorted(f for f, _ in walked) == forests, (g, name)
             for f, active in walked:
                 assert active == forest_active(g, oracle, f), (g, name, f)
+
+
+def _rebuilt_leaves(g, oracle, forests=False):
+    """The leaves of `decision_walk` or `forest_walk`, on rebuilt minors.
+
+    Every node builds its minor with `gr.delete`/`gr.contract` and types
+    the edge with `gr.classify_edge`, so nothing here shares `MaskMinor`.
+    The tree walk deletes its loops and contracts its isthmuses, which
+    types every edge alike; the forest walk keeps a non-forest edge and
+    branches at every non-loop.
+    """
+    m = g.edge_count()
+    leaves = []
+
+    def rec(h, prefix, inside, internal, external):
+        if len(prefix) == m:
+            leaves.append((inside, external) if forests
+                          else (inside, internal, external))
+            return
+        eid = oracle.next_edge(prefix)
+        bit = 1 << eid
+        kind = gr.classify_edge(h, eid)
+        if kind == gr.LOOP:
+            rec(h if forests else gr.delete(h, eid), prefix + ("l",),
+                inside, internal, external | bit)
+        elif kind == gr.ISTHMUS and not forests:
+            rec(gr.contract(h, eid), prefix + ("r",), inside | bit,
+                internal | bit, external)
+        else:
+            rec(h if forests else gr.delete(h, eid), prefix + ("l",),
+                inside, internal, external)
+            rec(gr.contract(h, eid), prefix + ("r",), inside | bit,
+                internal, external)
+
+    rec(g, (), 0, 0, 0)
+    return sorted(leaves)
+
+
+def test_walks_match_the_rebuilt_minor_walk(corpus):
+    rng = random.Random(12)
+    graphs = connected_multigraphs(4) + [
+        permuted(g, seed) for seed, g in enumerate(rng.sample(corpus, 60))]
+    for g in graphs:
+        for name, oracle in _corpus_oracles(g):
+            assert sorted(decision_walk(g, oracle)) == \
+                _rebuilt_leaves(g, oracle), (g, name)
+            assert sorted(forest_walk(g, oracle)) == \
+                _rebuilt_leaves(g, oracle, forests=True), (g, name)
 
 
 def test_walk_asks_each_node_once(g4, d4):

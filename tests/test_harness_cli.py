@@ -297,6 +297,16 @@ def test_cli_conjecture_scan_over_budget():
     assert out.stdout == ""
 
 
+def test_cli_definitional_over_its_cap(tmp_path):
+    path = tmp_path / "grid5x5.graph"  # 40 edges: 2^40 subgraphs
+    gr.save_graph(grid(5, 5), path)
+    out = run_cli("tutte", "--graph", str(path))
+    assert _one_error_line(out) == (
+        "error: definitional is capped at 24 edges (it sums over all 2^m "
+        "subgraphs); use delcon")
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["history", "activity"])
 def test_cli_rejects_edge_id_not_in_graph(command):
     out = run_cli(command, "--graph", str(graph_path("triangle")),

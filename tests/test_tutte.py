@@ -11,8 +11,8 @@ from tutte_activities.decision import from_linear_order, random_oracle
 from tutte_activities.engine import delta_activity, run_history, type_masks
 from tutte_activities.harness import connected_multigraphs
 from tutte_activities.poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
-from tutte_activities.tutte import (tutte_activity, tutte_connected,
-                                    tutte_definitional, tutte_delcon,
+from tutte_activities.tutte import (DEFINITIONAL_MAX_EDGES, tutte_activity,
+                                    tutte_connected, tutte_definitional, tutte_delcon,
                                     tutte_delta, tutte_dfs, tutte_forest,
                                     tutte_forest_activity, tutte_half)
 from conftest import fixture_graph, grid, kirchhoff_count, permuted
@@ -30,6 +30,13 @@ def test_definitional_goldens(g4):
 def test_definitional_rejects_disconnected():
     with pytest.raises(ValueError):
         tutte_definitional(gr.Graph(3, [(0, 0, 1)]))
+
+
+def test_definitional_is_capped_and_names_delcon():
+    path = gr.Graph(DEFINITIONAL_MAX_EDGES + 2,
+                    [(i, i, i + 1) for i in range(DEFINITIONAL_MAX_EDGES + 1)])
+    with pytest.raises(ValueError, match=r"capped at 24 edges.*use delcon"):
+        tutte_definitional(path)
 
 
 def test_delcon_goldens(g4):
@@ -84,6 +91,16 @@ def test_delcon_is_iterative_on_a_long_path_and_bouquet():
     assert str(tutte_delcon(path)) == "x^1100"
     bouquet = gr.Graph(1, [(i, 0, 0) for i in range(1100)])
     assert str(tutte_delcon(bouquet)) == "y^1100"
+
+
+def test_walk_routes_at_depth_1100():
+    # one walk node per edge: the oracle's path record and the labels keep
+    # each node short, where rebuilding the path per node was quadratic
+    path = gr.Graph(1101, [(i, i, i + 1) for i in range(1100)])
+    assert str(tutte_delta(path, random_oracle(path, 0))) == "x^1100"
+    bouquet = gr.Graph(1, [(i, 0, 0) for i in range(1100)])
+    for route in (tutte_delta, tutte_forest_activity):
+        assert str(route(bouquet, random_oracle(bouquet, 0))) == "y^1100"
 
 
 def test_every_route_meets_the_independent_counts(corpus):
