@@ -94,8 +94,8 @@ def test_delcon_is_iterative_on_a_long_path_and_bouquet():
 
 
 def test_walk_routes_at_depth_1100():
-    # one walk node per edge: the oracle's path record and the labels keep
-    # each node short, where rebuilding the path per node was quadratic
+    # one walk node per edge, each an oracle miss one level deeper than the
+    # last; the forest walk would meet 2^1100 forests on the path
     path = gr.Graph(1101, [(i, i, i + 1) for i in range(1100)])
     assert str(tutte_delta(path, random_oracle(path, 0))) == "x^1100"
     bouquet = gr.Graph(1, [(i, 0, 0) for i in range(1100)])
