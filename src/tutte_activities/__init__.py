@@ -9,9 +9,9 @@ from .comb_map import (CombMap, format_map, genus, load_map, map_contract,
                        map_delete, mirror, motion_function, parse_map,
                        save_map, tour_order)
 from .poly import BivariatePoly
-from .decision import (DecisionOracle, check_tree_compatible, explicit_tree,
-                       from_linear_order, from_order_map, load_decision_tree,
-                       parse_decision_tree, random_oracle)
+from .decision import (DecisionOracle, ExplicitTreeOracle,
+                       check_tree_compatible, from_linear_order, from_order_map,
+                       load_decision_tree, parse_decision_tree, random_oracle)
 from .engine import (decision_walk, delta_activity, delta_ordering,
                      forest_active, forest_walk, internal_active_no_contract,
                      run_history)

@@ -178,12 +178,11 @@ def _partition_dot(g, parts):
 
 def _cmd_crosscheck(args):
     g, m = _load_inputs(args)
-    oracles = {"linear": _make_oracle("linear", g, m)}
+    oracles = None
     if args.oracle:
-        oracles[args.oracle] = _make_oracle(args.oracle, g, m)
-    for s in range(args.seeds):
-        oracles[f"random:{s}"] = _make_oracle(f"random:{s}", g, m)
-    report = crosscheck(g, oracles=oracles, comb_map=m)
+        oracles = {args.oracle: _make_oracle(args.oracle, g, m)}
+    report = crosscheck(g, oracles=oracles, comb_map=m,
+                        seeds=range(args.seeds))
     print(report.text())
     if not report.ok:
         sys.exit(1)

@@ -198,11 +198,6 @@ class RandomOracle(DecisionOracle):
 # -- builders ------------------------------------------------------------------
 
 
-def explicit_tree(root_node, edge_ids):
-    """Build an oracle from a nested (label, left, right) structure."""
-    return ExplicitTreeOracle(root_node, edge_ids)
-
-
 def from_linear_order(order):
     return LinearOrderOracle(order)
 
@@ -314,4 +309,4 @@ def format_decision_tree(node):
 
 def load_decision_tree(path, edge_ids):
     with open(path, "r", encoding="utf-8") as fh:
-        return explicit_tree(parse_decision_tree(fh.read()), edge_ids)
+        return ExplicitTreeOracle(parse_decision_tree(fh.read()), edge_ids)

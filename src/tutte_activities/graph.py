@@ -5,11 +5,12 @@ by `delete` and `contract` keep the surviving ids unchanged, so edge subsets
 (bitmasks over ids) stay meaningful across minor operations.  Spanning
 subgraphs are identified with their edge sets, represented as plain int
 bitmasks (bit i set = edge i present).
+
+The spanning trees and forests of a connected graph are the leaves of the
+walks in `engine`, which imports this module and so is imported late here.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 LOOP = "Loop"
 ISTHMUS = "Isthmus"
@@ -219,24 +220,19 @@ def contract(g: Graph, eid: int) -> Graph:
 
 
 def spanning_trees(g: Graph):
-    """All spanning-tree edge sets, sorted by bitmask value."""
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
-    n = g.vertex_count
-    ids = [e[0] for e in g.edges if e[1] != e[2]]
-    trees = []
-    for combo in combinations(ids, n - 1):
-        mask = edge_set(combo)
-        if cc(g, mask) == 1:
-            trees.append(mask)
-    trees.sort()
-    return trees
+    """All spanning-tree edge sets, ascending: the leaves of `decision_walk`."""
+    from .decision import LinearOrderOracle
+    from .engine import decision_walk
+    return sorted(t for t, _, _ in
+                  decision_walk(g, LinearOrderOracle(g.edge_ids)))
 
 
 def spanning_forests(g: Graph):
-    """All spanning-forest edge sets (cyclomatic number zero), ascending."""
-    return [mask for mask in submasks(g.full_edge_set())
-            if cycl(g, mask) == 0]
+    """All spanning-forest edge sets, ascending: the leaves of `forest_walk`."""
+    from .decision import LinearOrderOracle
+    from .engine import forest_walk
+    return sorted(f for f, _ in
+                  forest_walk(g, LinearOrderOracle(g.edge_ids)))
 
 
 def tree_path(g: Graph, tree_mask: int, a: int, b: int):

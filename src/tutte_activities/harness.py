@@ -81,7 +81,10 @@ def connected_simple_graphs(n_vertices, max_edges):
     return out
 
 
-def desk_corpus(minimum=200):
+DESK_CORPUS_MINIMUM = 200
+
+
+def desk_corpus():
     """Deterministic corpus of connected graphs, <= 6 vertices, <= 8 edges.
 
     Exhaustive over small multigraphs, complete for simple graphs up to five
@@ -99,7 +102,7 @@ def desk_corpus(minimum=200):
         gr.Graph(6, [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 2, 3),
                      (4, 3, 4), (5, 4, 5), (6, 5, 3)]),                 # two triangles
     ]
-    if len(graphs) < minimum:
+    if len(graphs) < DESK_CORPUS_MINIMUM:
         raise AssertionError(
             f"corpus generator produced only {len(graphs)} graphs")
     return graphs
@@ -200,6 +203,7 @@ def _structural_checks(results, g, trees, name, oracle):
             assert internal_active_no_contract(g, oracle, t) == internal, (
                 f"contract-free internal actives differ on tree {t:#x}")
     _check(results, f"internal-actives-no-contract[{name}]", algint)
+    return types  # the type masks of every subgraph
 
 
 def _map_checks(results, m: CombMap, g, ref, trees, forests):
@@ -277,14 +281,17 @@ def _dfs_checks(results, g, ref, trees, forests):
 
 
 def crosscheck(g, oracles=None, comb_map=None, seeds=range(3)):
-    """Run every route and theorem on one graph; return a report."""
+    """Run every route and theorem on one graph; return a report.
+
+    The oracles are `linear`, `random:<s>` per seed and any named `oracles`.
+    """
     if comb_map is not None and comb_map.underlying_graph() != g:
         raise ValueError("the map must embed the graph")
     results = []
-    if oracles is None:
-        oracles = {"linear": from_linear_order(list(g.edge_ids))}
-        for s in seeds:
-            oracles[f"random:{s}"] = random_oracle(g, s)
+    oracles = dict(oracles or {})
+    oracles["linear"] = from_linear_order(list(g.edge_ids))
+    for s in seeds:
+        oracles[f"random:{s}"] = random_oracle(g, s)
 
     reference = tutte_definitional(g)
     trees = gr.spanning_trees(g)
@@ -296,6 +303,7 @@ def crosscheck(g, oracles=None, comb_map=None, seeds=range(3)):
     _check(results, "definitional-vs-delcon", delcon)
 
     polys = {}
+    typings = {}
 
     def identical_routes():
         assert len(set(polys.values())) <= 1
@@ -305,14 +313,15 @@ def crosscheck(g, oracles=None, comb_map=None, seeds=range(3)):
                      reference)
         _route_check(results, "forest-activity-sum", name,
                      tutte_forest_activity(g, oracle), reference)
-        _structural_checks(results, g, trees, name, oracle)
+        typings[name] = _structural_checks(results, g, trees, name, oracle)
     _check(results, "oracles-agree", identical_routes)
 
     def ordering_reduction():
         order = list(g.edge_ids)
-        oracle = from_linear_order(order)
+        linear = typings["linear"]
         for t in trees:
-            assert ordering_active(g, order, t) == delta_activity(g, oracle, t)
+            assert ordering_active(g, order, t) == (
+                linear[t][TYPE_I], linear[t][TYPE_L])
     _check(results, "ordering-reduction", ordering_reduction)
 
     if comb_map is not None:

@@ -5,7 +5,7 @@ import pytest
 from tutte_activities import graph as gr
 from tutte_activities.classic import DfsOracle, dfs_order_map
 from tutte_activities.comb_map import mirror, tour_order
-from tutte_activities.decision import (check_tree_compatible, explicit_tree,
+from tutte_activities.decision import (check_tree_compatible,
                                        format_decision_tree, from_linear_order,
                                        from_order_map, parse_decision_tree,
                                        random_oracle, ExplicitTreeOracle,
@@ -29,15 +29,15 @@ def test_explicit_tree_fixture_labels(d4):
 
 def test_explicit_tree_rejects_duplicate_label():
     with pytest.raises(ValueError, match="repeated"):
-        explicit_tree((0, (0, None, None), (1, None, None)), [0, 1])
+        ExplicitTreeOracle((0, (0, None, None), (1, None, None)), [0, 1])
 
 
 def test_explicit_tree_rejects_wrong_depth():
     with pytest.raises(ValueError):
-        explicit_tree((0, (1, (0, None, None), (0, None, None)),
-                       (1, None, None)), [0, 1])
+        ExplicitTreeOracle((0, (1, (0, None, None), (0, None, None)),
+                            (1, None, None)), [0, 1])
     with pytest.raises(ValueError):
-        explicit_tree((0, None, None), [0, 1])  # leaf too early
+        ExplicitTreeOracle((0, None, None), [0, 1])  # leaf too early
 
 
 def test_explicit_tree_size_cap():

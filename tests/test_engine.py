@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities.decision import (explicit_tree, from_linear_order,
-                                       random_oracle)
+from tutte_activities.decision import (ExplicitTreeOracle,
+                                       from_linear_order, random_oracle)
 from tutte_activities.engine import (DIRECTION_OF_TYPE, MaskMinor,
                                      decision_walk, delta_activity,
                                      delta_ordering, forest_active,
@@ -301,7 +301,7 @@ def _materialized(g, oracle):
             return (label, None, None)
         return (label, node(prefix + ("l",)), node(prefix + ("r",)))
 
-    return explicit_tree(node(()), g.edge_ids)
+    return ExplicitTreeOracle(node(()), g.edge_ids)
 
 
 def _corpus_oracles(g):

@@ -3,7 +3,10 @@ from itertools import combinations
 import pytest
 
 from tutte_activities import graph as gr
-from conftest import fixture_graph, kirchhoff_count, letters_of, mask_of
+from tutte_activities.harness import connected_multigraphs
+from tutte_activities.tutte import tutte_delcon
+from conftest import (FIXTURES, fixture_graph, grid, kirchhoff_count,
+                      letters_of, mask_of, permuted)
 
 
 def test_classify_examples(g4):
@@ -76,6 +79,40 @@ def test_spanning_trees_reject_disconnected():
     g = gr.Graph(3, [(0, 0, 1)])
     with pytest.raises(ValueError):
         gr.spanning_trees(g)
+
+
+def test_spanning_forests_reject_disconnected():
+    g = gr.Graph(3, [(0, 0, 1)])
+    with pytest.raises(ValueError):
+        gr.spanning_forests(g)
+
+
+def small_multigraphs_with_permuted_ids():
+    return [permuted(g, seed)
+            for seed, g in enumerate(connected_multigraphs(4))]
+
+
+def test_spanning_trees_match_brute_force_on_small_multigraphs():
+    for g in small_multigraphs_with_permuted_ids():
+        brute = [gr.edge_set(c)
+                 for c in combinations(g.edge_ids, g.vertex_count - 1)
+                 if gr.cc(g, gr.edge_set(c)) == 1]
+        assert gr.spanning_trees(g) == sorted(brute), g
+
+
+def test_spanning_forests_match_brute_force_on_small_multigraphs():
+    for g in small_multigraphs_with_permuted_ids():
+        brute = [s for s in gr.submasks(g.full_edge_set())
+                 if gr.cycl(g, s) == 0]
+        assert gr.spanning_forests(g) == sorted(brute), g
+
+
+def test_forest_count_is_t_at_2_1():
+    assert len(gr.spanning_forests(fixture_graph("cycles_cocycles"))) == 454
+    graphs = [gr.load_graph(path)
+              for path in sorted((FIXTURES / "graphs").glob("*.graph"))]
+    for g in graphs + [grid(3, 3)]:
+        assert len(gr.spanning_forests(g)) == tutte_delcon(g).evaluate(2, 1), g
 
 
 @pytest.mark.parametrize("name", [

@@ -65,6 +65,16 @@ def test_dfs_oracle_check_catches_a_wrong_dfs_oracle(monkeypatch):
     assert "dfs-descriptive" not in failed
 
 
+def test_ordering_reduction_check_catches_a_wrong_ordering_rule(
+        g4, monkeypatch):
+    # The check compares the ordering rule with the linear oracle's typing
+    # table, which the other checks share, so only this check sees it.
+    monkeypatch.setattr(harness, "ordering_active", lambda g, order, t: (0, 0))
+    report = crosscheck(g4, seeds=range(1))
+    failed = {r.name for r in report.results if not r.ok}
+    assert failed == {"ordering-reduction"}
+
+
 @pytest.mark.parametrize("native,failing", [
     ("tau", {"pruning-preimage-interval"}),
     ("embedding_active",
