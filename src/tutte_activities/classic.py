@@ -90,69 +90,51 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
     of the current half-edge, step to the half-edge that immediately follows
     it, then delete the walked edge whenever it is external and currently
     not an isthmus.  Stops once every edge has been visited.
+
+    The shrinking map is `m` with the edges of the `dead` mask removed.  Its
+    rotation at a vertex is `m.sigma` there with the dead half-edges
+    skipped, so the step is `sigma[alpha[h]]` followed along `sigma` past
+    dead half-edges.  The map is connected and a deletion never disconnects
+    it, so each vertex keeps a live half-edge until every edge is dead.
     """
     g0 = m.underlying_graph()
     if not gr.is_forest(g0, forest_mask):
         raise ValueError("input edge set contains a cycle")
     minor = MaskMinor(g0)
-    n_half = len(m.sigma)
-    sigma = list(m.sigma)
+    sigma = m.sigma
     alpha = m.alpha
     edge_of = m.edge_of()
     vertex_of = m.vertex_of()
-    pairs = m.edge_pairs()
     all_edges = g0.full_edge_set()
 
-    dead = 0
-    visited = set()
+    dead = seen = 0
     first_visit = []
     isthmus_first = 0
     charges = {v: 0 for v in range(g0.vertex_count)}
 
-    def alive(h):
-        return not (dead >> edge_of[h]) & 1
-
-    def delete_in_place(eid):
-        """Splice both halves of the edge out of the alive rotations."""
-        halves = pairs[eid]
-        for h in range(n_half):
-            if h not in halves and alive(h):
-                while sigma[h] in halves:
-                    sigma[h] = sigma[sigma[h]]
-
     h = m.root
     guard = 0
-    limit = 4 * n_half * n_half + 16
-    while len(visited) < len(pairs):
+    limit = 4 * len(sigma) * len(sigma) + 16
+    while seen != all_edges:
         guard += 1
         if guard > limit:
             raise RuntimeError("pruning walk failed to terminate")
         eid = edge_of[h]
-        first = eid not in visited
+        bit = 1 << eid
+        first = not seen & bit
         if first:
-            visited.add(eid)
+            seen |= bit
             first_visit.append(eid)
-        departure = vertex_of[h]
-        arrival = vertex_of[alpha[h]]
-        h_next = sigma[alpha[h]]
         is_isthmus = minor.classify(0, dead, eid) == gr.ISTHMUS
         if first and is_isthmus:
-            isthmus_first |= 1 << eid
-        if not is_isthmus and not ((forest_mask >> eid) & 1):
-            delete_in_place(eid)
-            dead |= 1 << eid
-            charges[departure] -= 1
-            charges[arrival] += 1
-        # The successor may have died with the deleted edge (halves of a
-        # loop adjacent in the rotation); slide along the stale rotation
-        # entries until an alive half-edge shows up.
-        hops = 0
-        while dead != all_edges and not alive(h_next):
-            h_next = sigma[h_next]
-            hops += 1
-            if hops > n_half:
-                raise RuntimeError("pruning walk lost its position")
-        h = h_next
+            isthmus_first |= bit
+        if not is_isthmus and not forest_mask & bit:
+            dead |= bit
+            charges[vertex_of[h]] -= 1
+            charges[vertex_of[alpha[h]]] += 1
+        h = sigma[alpha[h]]
+        while dead != all_edges and (dead >> edge_of[h]) & 1:
+            h = sigma[h]
 
     return PruneRun(all_edges & ~dead, first_visit, isthmus_first, charges)
 
@@ -374,7 +356,8 @@ class DfsOracle(DecisionOracle):
         self.g = g
 
     def choose(self, prefix, unused):
-        # `next_edge` has tabled every ancestor of the prefix.
+        # Every ancestor was asked first, by the walk or by `next_edge`, so
+        # each is tabled.
         inside = gr.edge_set(self.table[prefix[:j]]
                              for j, d in enumerate(prefix) if d == RIGHT)
         return _marking_dfs(self.g, inside).edge_order[len(prefix)]

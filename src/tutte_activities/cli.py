@@ -19,7 +19,7 @@ from .comb_map import load_map
 from .decision import from_linear_order, load_decision_tree, random_oracle
 from .engine import delta_activity, format_history, run_history
 from .harness import crosscheck
-from .partition import partition
+from .partition import class_table, partition
 from .scan import conjecture_scan
 from .tutte import (tutte_connected, tutte_definitional, tutte_delcon,
                     tutte_delta, tutte_dfs, tutte_forest,
@@ -141,10 +141,10 @@ def _cmd_history(args):
 def _cmd_partition(args):
     g, m = _load_inputs(args)
     oracle = _make_oracle(args.oracle, g, m)
-    parts = partition(g, oracle)
     if args.dot:
-        print(_partition_dot(g, parts))
+        print(_partition_dot(g, oracle))
         return
+    parts = partition(g, oracle)
     for t in sorted(parts):
         interval = parts[t]
         internal = t & ~interval.lower
@@ -154,18 +154,14 @@ def _cmd_partition(args):
               f"monomial=x^{gr.popcount(internal)}*y^{gr.popcount(external)}")
 
 
-def _partition_dot(g, parts):
-    trees = sorted(parts)
-    color = {}
-    for idx, t in enumerate(trees):
-        for member in parts[t].members():
-            color[member] = idx % 12 + 1
+def _partition_dot(g, oracle):
+    _, index = class_table(g, oracle)
     subgraphs = list(gr.submasks(g.full_edge_set()))
     lines = ["graph subgraph_lattice {",
              '  node [style=filled colorscheme=set312];']
     for mask in subgraphs:
         lines.append(f'  "{_format_edge_set(mask)}" '
-                     f'[fillcolor={color[mask]}];')
+                     f'[fillcolor={index[mask] % 12 + 1}];')
     for mask in subgraphs:
         for eid in g.edge_ids:
             if not (mask >> eid) & 1:

@@ -14,7 +14,7 @@ could disconnect the map.
 
 from __future__ import annotations
 
-from .graph import Graph, is_spanning_tree
+from .graph import ISTHMUS, Graph, classify_edge, is_spanning_tree
 
 
 def _cycles_of(perm):
@@ -207,15 +207,8 @@ def tour_order(m: CombMap, tree_mask: int):
         h = t[h]
     if h != m.root or len(set(seq)) != n:
         raise ValueError("motion function is not a single cycle")
-    position = {h: i for i, h in enumerate(seq)}
     edge = m.edge_of()
-    first_pos = {}
-    for h in seq:
-        eid = edge[h]
-        if eid not in first_pos:
-            first_pos[eid] = position[h]
-    edge_order = sorted(first_pos, key=first_pos.get)
-    return seq, edge_order
+    return seq, list(dict.fromkeys(edge[h] for h in seq))
 
 
 # -- deletion, contraction, mirror -------------------------------------------
@@ -240,7 +233,6 @@ def _restrict(m: CombMap, new_sigma, removed):
 
 def map_delete(m: CombMap, eid: int) -> CombMap:
     """Delete a non-isthmus edge, stitching the rotation around each end."""
-    from .graph import classify_edge, ISTHMUS
     g = m.underlying_graph()
     if classify_edge(g, eid) == ISTHMUS:
         raise ValueError("deleting an isthmus would disconnect the map")

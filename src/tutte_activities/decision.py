@@ -33,23 +33,20 @@ class DecisionOracle:
     answers along any root-to-leaf path are pairwise distinct.  This base
     class serves a complete table; subclasses fill theirs lazily.
 
-    The edges on a missing prefix's path come from the path record: entry k
-    holds the last prefix of length k answered and the mask of the answers
-    on its path, its own included.  A walk asks a node right after its
-    parent or, on popping a branch, right after a subtree below the parent,
-    so entry k-1 is the parent's and a miss costs one entry read.  The entry
-    counts only when its whole prefix equals the parent and the record was
-    built from the current table; otherwise the miss reads its ancestors
-    root first and records them on the way.
+    Every oracle's `next_edge` takes `(prefix, used)`, where `used` is the
+    mask of the answers on the prefix's path.  A walk holds that mask
+    anyway and has asked every ancestor first (`DfsOracle.choose` relies on
+    this), so a miss is answered from `used` directly.  A caller outside a
+    walk leaves `used` as None: the ancestors are then asked root first,
+    each with the mask of the answers above it.
     """
 
     def __init__(self, edge_ids, table=None):
         self.edge_ids = tuple(sorted(set(edge_ids)))
         self.m = len(self.edge_ids)
         self.table = {} if table is None else table
-        self._record = (None, [])  # (table it was built from, entries)
 
-    def next_edge(self, prefix):
+    def next_edge(self, prefix, used=None):
         table = self.table
         try:
             answer = table.get(prefix)
@@ -58,27 +55,13 @@ class DecisionOracle:
             answer = table.get(prefix)
         if answer is None:
             self._check_prefix(prefix)
-            owner, path = self._record
-            if owner is not table:
-                path = [None] * self.m
-                self._record = (table, path)
-            k = len(prefix)
-            above = path[k - 1] if k else ((), 0)
-            if above is not None and above[0] == prefix[:-1]:
-                used = above[1]
-            else:
+            if used is None:
                 used = 0
-                for j in range(k):
-                    node = prefix[:j]
-                    edge = table.get(node)
-                    if edge is None:
-                        edge = self.next_edge(node)
-                    used |= 1 << edge
-                    path[j] = (node, used)
+                for j in range(len(prefix)):
+                    used |= 1 << self.next_edge(prefix[:j], used)
             answer = self.choose(prefix, [e for e in self.edge_ids
                                           if not (used >> e) & 1])
             table[prefix] = answer
-            path[k] = (prefix, used | 1 << answer)
         return answer
 
     def choose(self, prefix, unused):
@@ -138,9 +121,9 @@ class ExplicitTreeOracle(DecisionOracle):
 class LinearOrderOracle(DecisionOracle):
     """Level-constant oracle: at depth k it answers the (m-k)-th edge.
 
-    Directions are ignored entirely, so every visit order is the reverse of
-    the given linear order.  Nothing is tabled: a walk never asks one prefix
-    twice, and the depth alone gives the answer.
+    Directions and `used` are ignored entirely, so every visit order is the
+    reverse of the given linear order.  Nothing is tabled: a walk never asks
+    one prefix twice, and the depth alone gives the answer.
     """
 
     def __init__(self, order):
@@ -150,7 +133,7 @@ class LinearOrderOracle(DecisionOracle):
         self.order = order
         self.m = len(order)
 
-    def next_edge(self, prefix):
+    def next_edge(self, prefix, used=None):
         self._check_prefix(prefix)
         return self.order[self.m - 1 - len(prefix)]
 

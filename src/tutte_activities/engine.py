@@ -22,6 +22,10 @@ loop gets type L (left) and an isthmus type I (right).  The two flags of
 edges and `contract_isthmuses` also contracts the typed-I ones.  All four
 flag settings produce the same types.
 
+Every pass asks a node's ancestors before the node and hands the oracle the
+mask of the edges it has typed, which are the answers on the node's path
+(`MaskMinor.visit`); an oracle keeps no record of the paths it answered.
+
 `decision_walk` walks the decision tree itself, querying the oracle once per
 node.  It branches only at standard edges, where deletion and contraction
 both lead on; loops and isthmuses have one way forward.  Its leaves are
@@ -127,7 +131,7 @@ class MaskMinor:
 
     def visit(self, oracle, prefix, typed):
         """The oracle's next edge, checked to be a known edge not yet typed."""
-        eid = oracle.next_edge(prefix)
+        eid = oracle.next_edge(prefix, typed)
         if eid not in self.ends or (typed >> eid) & 1:
             raise ValueError(f"oracle returned unusable edge {eid}")
         return eid

@@ -357,8 +357,8 @@ def _asked_in_walk_order(walk, g, oracle):
     asked = []
 
     class Recording:
-        def next_edge(self, prefix):
-            asked.append((prefix, oracle.next_edge(prefix)))
+        def next_edge(self, prefix, used=None):
+            asked.append((prefix, oracle.next_edge(prefix, used)))
             return asked[-1][1]
 
     for _ in walk(g, Recording()):

@@ -271,7 +271,7 @@ def _forest_visit_order(g, oracle, subgraph):
 
 def test_oracle_returning_visited_edge_rejected(g4):
     class Broken:
-        def next_edge(self, prefix):
+        def next_edge(self, prefix, used=None):
             return 0
     with pytest.raises(ValueError, match="unusable"):
         run_history(g4, Broken(), 0)
@@ -389,7 +389,7 @@ def test_walk_asks_each_node_once(g4, d4):
         asked = []
 
         class Counting:
-            def next_edge(self, prefix):
+            def next_edge(self, prefix, used=None):
                 asked.append(prefix)
                 return d4.next_edge(prefix)
 
@@ -397,6 +397,39 @@ def test_walk_asks_each_node_once(g4, d4):
         assert len(asked) == len(set(asked)), walk
         assert len(walked) == leaves, walk
         assert len(asked) < leaves * g4.edge_count(), walk
+
+
+class _CheckingOracle:
+    """Forwards every query, first checking that its `used` is the OR of
+    the answers this pass gave to the prefix's ancestors."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.answers = {}
+
+    def next_edge(self, prefix, used=None):
+        want = 0
+        for j in range(len(prefix)):
+            want |= 1 << self.answers[prefix[:j]]  # asked before the prefix
+        assert used == want, (prefix, used, want)
+        self.answers[prefix] = self.oracle.next_edge(prefix, used)
+        return self.answers[prefix]
+
+
+def test_every_pass_hands_the_oracle_the_answers_on_the_path(corpus):
+    rng = random.Random(14)
+    graphs = [permuted(g, i) for i, g in enumerate(
+        rng.sample([g for g in corpus if g.edge_count() <= 6], 30))]
+    graphs.append(gr.Graph(3, [(5, 0, 1), (7, 0, 1), (9, 1, 2), (11, 2, 2)]))
+    for g in graphs:
+        for oracle in (random_oracle(g, 5), from_linear_order(g.edge_ids)):
+            list(decision_walk(g, _CheckingOracle(oracle)))
+            list(forest_walk(g, _CheckingOracle(oracle)))
+            for s in gr.submasks(g.full_edge_set()):
+                run_history(g, _CheckingOracle(oracle), s)
+                forest_active(g, _CheckingOracle(oracle), s)
+            for t in gr.spanning_trees(g):
+                internal_active_no_contract(g, _CheckingOracle(oracle), t)
 
 
 def test_walk_of_single_edge_graphs():
@@ -447,7 +480,7 @@ def test_mask_classifier_on_ids_not_from_zero():
 class _RepeatsOnLeft:
     """Answers edge 2 at the root and again on the root's left child."""
 
-    def next_edge(self, prefix):
+    def next_edge(self, prefix, used=None):
         if prefix in ((), ("l",)):
             return 2
         return 0
@@ -460,7 +493,7 @@ def test_walk_rejects_edge_repeated_along_a_path(g4):
 
 def test_walk_rejects_unknown_edge_and_disconnected_graph(g4):
     class Unknown:
-        def next_edge(self, prefix):
+        def next_edge(self, prefix, used=None):
             return 9
     with pytest.raises(ValueError, match="unusable edge 9"):
         list(decision_walk(g4, Unknown()))

@@ -6,6 +6,7 @@ blossoming machinery against them, so the theorems are exercised well away
 from the hand-picked cases.
 """
 
+import random
 from collections import defaultdict
 
 import pytest
@@ -115,6 +116,98 @@ def test_tau_terminates_on_every_forest():
                 out = tau(m, f)
                 assert gr.is_spanning_tree(gm, out) or \
                     (out == 0 and gm.vertex_count == 1)
+
+
+def seeded_rotation(g, rng):
+    """A map of g with a seeded rotation at every vertex and a seeded root."""
+    around = defaultdict(list)
+    for k, (_, u, v) in enumerate(g.edges):
+        around[u].append(2 * k)
+        around[v].append(2 * k + 1)
+    sigma = [0] * (2 * g.edge_count())
+    for hs in around.values():
+        rng.shuffle(hs)
+        for i, h in enumerate(hs):
+            sigma[h] = hs[(i + 1) % len(hs)]
+    return CombMap(sigma, [h ^ 1 for h in range(len(sigma))],
+                   rng.randrange(len(sigma)))
+
+
+def _spliced_prune_reference(m, forest_mask):
+    """The pruning walk on a copy of the rotation that deleted edges are
+    spliced out of: (tree, first visits, isthmuses at first visit, charges).
+    """
+    g0 = m.underlying_graph()
+    n_half = len(m.sigma)
+    sigma = list(m.sigma)
+    alpha = m.alpha
+    edge_of = m.edge_of()
+    vertex_of = m.vertex_of()
+    pairs = m.edge_pairs()
+    all_edges = g0.full_edge_set()
+    dead = 0
+    visited = set()
+    first_visit = []
+    isthmus_first = 0
+    charges = {v: 0 for v in range(g0.vertex_count)}
+
+    def alive(h):
+        return not (dead >> edge_of[h]) & 1
+
+    def is_isthmus(eid):
+        h = gr.Graph(g0.vertex_count, [e for e in g0.edges
+                                       if not (dead >> e[0]) & 1])
+        return gr.classify_edge(h, eid) == gr.ISTHMUS
+
+    h = m.root
+    for _ in range(4 * n_half * n_half + 16):
+        if len(visited) == len(pairs):
+            break
+        eid = edge_of[h]
+        first = eid not in visited
+        if first:
+            visited.add(eid)
+            first_visit.append(eid)
+        departure, arrival = vertex_of[h], vertex_of[alpha[h]]
+        h_next = sigma[alpha[h]]
+        isthmus = is_isthmus(eid)
+        if first and isthmus:
+            isthmus_first |= 1 << eid
+        if not isthmus and not (forest_mask >> eid) & 1:
+            halves = pairs[eid]
+            for x in range(n_half):
+                if x not in halves and alive(x):
+                    while sigma[x] in halves:
+                        sigma[x] = sigma[sigma[x]]
+            dead |= 1 << eid
+            charges[departure] -= 1
+            charges[arrival] += 1
+        for _ in range(n_half + 1):
+            if dead == all_edges or alive(h_next):
+                break
+            h_next = sigma[h_next]
+        else:
+            raise AssertionError("pruning walk lost its position")
+        h = h_next
+    else:
+        raise AssertionError("pruning walk failed to terminate")
+    return all_edges & ~dead, first_visit, isthmus_first, charges
+
+
+def test_prune_run_matches_the_spliced_rotation_walk(corpus):
+    rng = random.Random(15)
+    maps = [seeded_rotation(g, rng) for g in corpus if g.edge_count() <= 6
+            for _ in range(2)]
+    maps += [seeded_rotation(gr.Graph(1, [(i, 0, 0) for i in range(k)]), rng)
+             for k in range(1, 6) for _ in range(3)]
+    runs = 0
+    for m in maps:
+        for f in gr.spanning_forests(m.underlying_graph()):
+            run = prune_run(m, f)
+            assert (run.tree_mask, run.first_visit, run.isthmus_at_first_visit,
+                    run.charges) == _spliced_prune_reference(m, f), (m, f)
+            runs += 1
+    assert runs > 2000
 
 
 def dual_graph(m):

@@ -242,6 +242,16 @@ def test_cli_partition_dot():
     assert out.stdout.count("--") == 32  # 4 * 2^3 cover relations
 
 
+def test_cli_partition_dot_over_the_class_table_cap(tmp_path):
+    path = tmp_path / "grid3x5.graph"  # 22 edges: 2^22 lattice nodes
+    gr.save_graph(grid(3, 5), path)
+    out = run_cli("partition", "--graph", str(path), "--dot")
+    assert _one_error_line(out) == (
+        "error: materialization is capped at 20 edges; use "
+        "representative_tree for point queries")
+    assert out.stdout == ""
+
+
 def test_cli_crosscheck_ok():
     out = run_cli("crosscheck", "--graph", G4, "--seeds", "2")
     assert out.returncode == 0, out.stderr
