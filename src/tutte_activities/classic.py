@@ -106,6 +106,7 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
     edge_of = m.edge_of()
     vertex_of = m.vertex_of()
     all_edges = g0.full_edge_set()
+    roots = gr.class_roots(g0, 0)  # nothing is ever contracted
 
     dead = seen = 0
     first_visit = []
@@ -125,7 +126,7 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
         if first:
             seen |= bit
             first_visit.append(eid)
-        is_isthmus = minor.classify(0, dead, eid) == gr.ISTHMUS
+        is_isthmus = minor.kind(roots, dead, eid) == gr.ISTHMUS
         if first and is_isthmus:
             isthmus_first |= bit
         if not is_isthmus and not forest_mask & bit:
@@ -188,12 +189,9 @@ def blossoming_subtree_charge(m: CombMap, tree_mask, eid) -> int:
         raise ValueError("edge is not internal")
     run = prune_run(m, tree_mask)
     root_vertex = m.vertex_of()[m.root]
-    dsu = gr._DSU(g.vertex_count)
-    for fid, a, b in g.edges:
-        if fid != eid and (tree_mask >> fid) & 1:
-            dsu.union(a, b)
-    root_side = dsu.find(root_vertex)
-    return sum(c for v, c in run.charges.items() if dsu.find(v) != root_side)
+    roots = gr.class_roots(g, tree_mask & ~(1 << eid))
+    root_side = roots[root_vertex]
+    return sum(c for v, c in run.charges.items() if roots[v] != root_side)
 
 
 def blossoming_charge_check(m: CombMap, tree_mask, eid) -> bool:

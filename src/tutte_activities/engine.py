@@ -2,17 +2,18 @@
 
 A minor of the input graph G is held as two bitmasks over G's edge ids,
 `contracted` and `deleted`; every other edge survives.  No graph is built
-along the way.  The contracted edges are also held as labels: each vertex
-maps to the root of its class (`MaskMinor.labels`).  An edge is a loop of
-the minor when its endpoints share a label, and an isthmus when they do not
-meet through every other surviving edge: one union-find pass, seeded from
-the labels (`MaskMinor.kind`).  `MaskMinor.classify` is the two in one call.
+along the way.  The contracted classes are `graph.class_roots` of the
+`contracted` mask: each vertex maps to the root of its class.  An edge is a
+loop of the minor when its endpoints share a root, and an isthmus when they
+do not meet through every other surviving edge: one union-find pass, seeded
+from the roots (`MaskMinor.kind`).  `MaskMinor.classify` is the two in one
+call.
 
-The labels change only when an edge is contracted.  The single passes
+The roots change only when an edge is contracted.  The single passes
 update them in place (`MaskMinor.contract`).  The walks build them once per
 branch popped off their stack, from that branch's `contracted` mask: along
 the branch they delete edges and type loops and isthmuses, none of which
-moves a label.
+moves a root.
 
 The typing pass visits the edges in the order dictated by the oracle.  The
 visited edge is classified in the current minor H: a standard external edge
@@ -55,60 +56,43 @@ DIRECTION_OF_TYPE = {TYPE_SE: LEFT, TYPE_L: LEFT, TYPE_SI: RIGHT, TYPE_I: RIGHT}
 class MaskMinor:
     """The minors of one graph, each given as (contracted, deleted) masks.
 
-    The contracted classes also come as labels, one class root per vertex.
+    The contracted classes come as roots, one per vertex: `graph.class_roots`
+    of the `contracted` mask.
     """
 
-    __slots__ = ("vertex_count", "ends", "edges")
+    __slots__ = ("g", "ends", "edges")
 
     def __init__(self, g):
         # g's own endpoint map and edge tuple, shared rather than copied.  A
         # per-edge copy for every history raised the peak memory of the
         # subgraph routes by about 1 MB over the desk corpus.
-        self.vertex_count = g.vertex_count
+        self.g = g
         self.ends = g._by_id
         self.edges = g.edges
 
-    def labels(self, contracted):
-        """Per vertex, the root of its class under the contracted edges."""
-        ends = self.ends
-        labels = list(range(self.vertex_count))
-        while contracted:
-            low = contracted & -contracted
-            contracted ^= low
-            a, b = ends[low.bit_length() - 1]
-            while labels[a] != a:
-                a = labels[a]
-            while labels[b] != b:
-                b = labels[b]
-            labels[a] = b
-        for w, a in enumerate(labels):
-            while labels[a] != a:
-                a = labels[a]
-            labels[w] = a
-        return labels
-
-    def contract(self, labels, eid):
+    def contract(self, roots, eid):
         """Merge the classes of an edge's ends in place."""
         u, v = self.ends[eid]
-        a, b = labels[u], labels[v]
+        a, b = roots[u], roots[v]
         if a != b:
-            for w, c in enumerate(labels):
+            for w, c in enumerate(roots):
                 if c == a:
-                    labels[w] = b
+                    roots[w] = b
 
-    def kind(self, labels, gone, eid):
-        """Loop, Isthmus or Standard, given the contracted classes' labels.
+    def kind(self, roots, gone, eid):
+        """Loop, Isthmus or Standard, given the contracted classes' roots.
 
         `gone` holds the contracted and the deleted edges.  The isthmus test
         is one union-find over the other surviving edges, seeded from the
-        labels.
+        roots.  It stays inline rather than calling `graph.class_roots`: it
+        asks about one pair of ends only, and it is the hottest loop of
+        every walk, where a flattening pass over all vertices costs time.
         """
         u, v = self.ends[eid]
-        u = labels[u]
-        v = labels[v]
+        u, v = roots[u], roots[v]
         if u == v:
             return gr.LOOP
-        parent = labels[:]
+        parent = roots[:]
         gone |= 1 << eid
         for f, a, b in self.edges:
             if not (gone >> f) & 1:
@@ -127,7 +111,8 @@ class MaskMinor:
 
     def classify(self, contracted, deleted, eid):
         """Loop, Isthmus or Standard: the kind of a surviving edge."""
-        return self.kind(self.labels(contracted), contracted | deleted, eid)
+        return self.kind(gr.class_roots(self.g, contracted),
+                         contracted | deleted, eid)
 
     def visit(self, oracle, prefix, typed):
         """The oracle's next edge, checked to be a known edge not yet typed."""
@@ -152,19 +137,19 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
     they never change the output, only the masks the pass carries.
     """
     minor = _connected_minor(g)
-    labels = minor.labels(0)
+    roots = gr.class_roots(g, 0)
     contracted = deleted = typed = 0
     prefix = ()
     history = []
     for _ in range(g.edge_count()):
         eid = minor.visit(oracle, prefix, typed)
         bit = 1 << eid
-        kind = minor.kind(labels, contracted | deleted, eid)
+        kind = minor.kind(roots, contracted | deleted, eid)
         typed |= bit
         if kind == gr.STANDARD:
             if subgraph_mask & bit:
                 contracted |= bit
-                minor.contract(labels, eid)
+                minor.contract(roots, eid)
                 etype = TYPE_SI
             else:
                 deleted |= bit
@@ -176,7 +161,7 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
         else:  # isthmus
             if contract_isthmuses:
                 contracted |= bit
-                minor.contract(labels, eid)
+                minor.contract(roots, eid)
             etype = TYPE_I
         history.append((eid, etype))
         prefix += (DIRECTION_OF_TYPE[etype],)
@@ -197,12 +182,12 @@ def decision_walk(g, oracle):
     stack = [((), 0, 0, 0, 0)]
     while stack:
         prefix, contracted, deleted, internal, external = stack.pop()
-        labels = minor.labels(contracted)
+        roots = gr.class_roots(g, contracted)
         while len(prefix) < m:
             typed = contracted | deleted | internal | external
             eid = minor.visit(oracle, prefix, typed)
             bit = 1 << eid
-            kind = minor.kind(labels, contracted | deleted, eid)
+            kind = minor.kind(roots, contracted | deleted, eid)
             if kind == gr.STANDARD:
                 stack.append((prefix + (RIGHT,), contracted | bit, deleted,
                               internal, external))
@@ -222,7 +207,7 @@ def forest_walk(g, oracle):
 
     Nothing is deleted: a loop at its visit is active and steers left, and
     every other edge branches, out of the forest (left) or contracted (right).
-    Only loops are told apart, so the labels alone type an edge.
+    Only loops are told apart, so the roots alone type an edge.
     """
     minor = _connected_minor(g)
     ends = minor.ends
@@ -231,13 +216,13 @@ def forest_walk(g, oracle):
     stack = [((), 0, 0, 0)]
     while stack:
         prefix, contracted, typed, active = stack.pop()
-        labels = minor.labels(contracted)
+        roots = gr.class_roots(g, contracted)
         while len(prefix) < m:
             eid = minor.visit(oracle, prefix, typed)
             bit = 1 << eid
             typed |= bit
             u, v = ends[eid]
-            if labels[u] == labels[v]:
+            if roots[u] == roots[v]:
                 active |= bit
             else:
                 stack.append((prefix + (RIGHT,), contracted | bit, typed,
@@ -291,14 +276,14 @@ def internal_active_no_contract(g, oracle, tree_mask):
     if not gr.is_spanning_tree(g, tree_mask):
         raise ValueError("edge set is not a spanning tree")
     minor = MaskMinor(g)
-    labels = minor.labels(0)
+    roots = gr.class_roots(g, 0)
     deleted = typed = 0
     prefix = ()
     result = 0
     for _ in range(g.edge_count()):
         eid = minor.visit(oracle, prefix, typed)
         bit = 1 << eid
-        kind = minor.kind(labels, deleted, eid)
+        kind = minor.kind(roots, deleted, eid)
         typed |= bit
         if kind != gr.ISTHMUS and not tree_mask & bit:
             deleted |= bit
@@ -319,7 +304,7 @@ def forest_active(g, oracle, subgraph_mask):
     """
     minor = _connected_minor(g)
     ends = minor.ends
-    labels = minor.labels(0)
+    roots = gr.class_roots(g, 0)
     typed = 0
     prefix = ()
     result = 0
@@ -328,11 +313,11 @@ def forest_active(g, oracle, subgraph_mask):
         bit = 1 << eid
         typed |= bit
         u, v = ends[eid]
-        if labels[u] == labels[v]:
+        if roots[u] == roots[v]:
             result |= bit
             prefix += (LEFT,)
         elif subgraph_mask & bit:
-            minor.contract(labels, eid)
+            minor.contract(roots, eid)
             prefix += (RIGHT,)
         else:
             prefix += (LEFT,)

@@ -6,6 +6,10 @@ by `delete` and `contract` keep the surviving ids unchanged, so edge subsets
 subgraphs are identified with their edge sets, represented as plain int
 bitmasks (bit i set = edge i present).
 
+Every component question goes through one union-find, `class_roots`; the
+walks in `engine` read a minor's contracted classes as `class_roots` of its
+`contracted` mask.
+
 The spanning trees and forests of a connected graph are the leaves of the
 walks in `engine`, which imports this module and so is imported late here.
 """
@@ -107,7 +111,7 @@ def edge_ids(mask):
 
 
 def popcount(mask):
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def submasks(mask):
@@ -123,25 +127,26 @@ def submasks(mask):
 # -- component counting ----------------------------------------------------
 
 
-class _DSU:
-    __slots__ = ("parent",)
+def class_roots(g: Graph, mask: int) -> list:
+    """Per vertex, the root of its component in the spanning subgraph `mask`.
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            return True
-        return False
+    The roots are flattened: two vertices share a component exactly when
+    they share a root, and every root is its own root.  Bits of `mask` that
+    g lacks are ignored.
+    """
+    roots = list(range(g.vertex_count))
+    for eid, u, v in g.edges:
+        if (mask >> eid) & 1:
+            while roots[u] != u:
+                roots[u] = u = roots[roots[u]]
+            while roots[v] != v:
+                roots[v] = v = roots[roots[v]]
+            roots[u] = v
+    for w, r in enumerate(roots):
+        while roots[r] != r:
+            r = roots[r]
+        roots[w] = r
+    return roots
 
 
 def cc(g: Graph, mask: int) -> int:
@@ -149,12 +154,7 @@ def cc(g: Graph, mask: int) -> int:
 
     Isolated vertices count, so cc of the edgeless subgraph is |V|.
     """
-    dsu = _DSU(g.vertex_count)
-    comps = g.vertex_count
-    for eid, u, v in g.edges:
-        if (mask >> eid) & 1 and u != v and dsu.union(u, v):
-            comps -= 1
-    return comps
+    return len(set(class_roots(g, mask)))
 
 
 def cycl(g: Graph, mask: int) -> int:
@@ -183,10 +183,8 @@ def classify_edge(g: Graph, eid: int) -> str:
     u, v = g.endpoints(eid)
     if u == v:
         return LOOP
-    full = g.full_edge_set()
-    if cc(g, full & ~(1 << eid)) > cc(g, full):
-        return ISTHMUS
-    return STANDARD
+    roots = class_roots(g, g.full_edge_set() & ~(1 << eid))
+    return ISTHMUS if roots[u] != roots[v] else STANDARD
 
 
 def delete(g: Graph, eid: int) -> Graph:
@@ -285,15 +283,11 @@ def fundamental_cocycle(g: Graph, tree_mask: int, eid: int) -> int:
     u, v = g.endpoints(eid)
     if u == v:
         raise ValueError("a loop cannot belong to a spanning tree")
-    # vertices on u's side of tree - e
-    dsu = _DSU(g.vertex_count)
-    for fid, a, b in g.edges:
-        if fid != eid and (tree_mask >> fid) & 1 and a != b:
-            dsu.union(a, b)
-    side = dsu.find(u)
+    roots = class_roots(g, tree_mask & ~(1 << eid))
+    side = roots[u]  # u's side of tree - e
     mask = 0
     for fid, a, b in g.edges:
-        if a != b and (dsu.find(a) == side) != (dsu.find(b) == side):
+        if (roots[a] == side) != (roots[b] == side):
             mask |= 1 << fid
     return mask
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import graph as gr
-from .decision import DecisionOracle
+from .decision import LEFT, RIGHT, DecisionOracle
 from .engine import decision_walk
 from .poly import BivariatePoly
 from .tutte import tutte_definitional
@@ -42,8 +42,8 @@ def _enumerate_decision_functions(edge_ids):
                 continue
             assignments[prefix] = e
             if len(prefix) + 1 < m:
-                children = [(prefix + ("l",), used | {e}),
-                            (prefix + ("r",), used | {e})]
+                children = [(prefix + (LEFT,), used | {e}),
+                            (prefix + (RIGHT,), used | {e})]
             else:
                 children = []
             yield from rec(children + rest)

@@ -145,7 +145,9 @@ def _relabel(ends, merge=False):
 def _is_isthmus(key):
     """Whether no other edge of the key joins its first edge's endpoints.
 
-    One union-find over the other edges, with path halving.
+    One union-find over the other edges, with path halving.  It stays
+    inline rather than calling `graph.class_roots`: the keys are delcon's
+    relabelled endpoint tuples, not a `Graph`.
     """
     parent = list(range(max(key) + 1))
     for k in range(2, len(key), 2):

@@ -330,7 +330,7 @@ def test_prefixes_may_be_lists(d4):
         d4.next_edge(["x"])
 
 
-# -- the path record -------------------------------------------------------------
+# -- the lazily filled table -----------------------------------------------------
 
 
 def _lazy_oracles(g):
@@ -346,7 +346,7 @@ def _lazy_oracles(g):
             "order-map": lambda: from_order_map(g, orders)}
 
 
-def _record_graphs():
+def _table_graphs():
     """Simple graphs, ids and vertices permuted, m from 3 to 8."""
     return [permuted(fixture_graph(name), 3)
             for name in ("triangle", "cycle4", "dfs_five", "dfs_six")]
@@ -374,17 +374,17 @@ def test_walk_order_queries_give_pinned_and_fresh_answers(g4, walk):
         asked = _asked_in_walk_order(walk, g, random_oracle(g, seed))
         assert [a for _, a in asked] == [pinned[p] for p, _ in asked], (
             name, seed)
-    for g in _record_graphs():
+    for g in _table_graphs():
         for name, make in _lazy_oracles(g).items():
             for prefix, answer in _asked_in_walk_order(walk, g, make()):
                 assert make().next_edge(prefix) == answer, (g, name, prefix)
 
 
 def test_swapped_table_answers_like_a_fresh_oracle():
-    # the scan's swap: after a walk the record describes the old table, so
-    # the new one must not read it, whatever order its queries come in
+    # the scan's swap: after a walk fills the old table, the new table must
+    # answer from itself alone, whatever order its queries come in
     rng = random.Random(7)
-    for g in _record_graphs():
+    for g in _table_graphs():
         prefixes = [p for p, _ in _asked_in_walk_order(
             forest_walk, g, random_oracle(g, 0))]
         for name, make in _lazy_oracles(g).items():
@@ -404,7 +404,7 @@ def test_deep_misses_after_a_walk_answer_like_a_fresh_oracle():
     # branch, mostly with its ancestors missing: the walk never takes the
     # second way at a loop or an isthmus
     rng = random.Random(8)
-    for g in _record_graphs():
+    for g in _table_graphs():
         deepest = all_prefixes(g.edge_count())[-(1 << g.edge_count() - 1):]
         for name, make in _lazy_oracles(g).items():
             oracle = make()
@@ -417,7 +417,7 @@ def test_deep_misses_after_a_walk_answer_like_a_fresh_oracle():
             assert missing, (g, name)
 
 
-def test_concurrent_misses_share_the_record_safely():
+def test_concurrent_misses_share_the_table_safely():
     # more threads than cores, switching every microsecond, all missing
     # prefixes of one oracle in shuffled order
     import sys

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -59,6 +60,51 @@ def test_cycl_zero_iff_forest(g4):
                      for e in gr.edge_ids(mask)) if mask else True
         # a forest is exactly a subgraph all of whose edges are isthmuses in it
         assert (gr.cycl(g4, mask) == 0) == by_def
+
+
+def _bfs_component(g, mask, start):
+    """Vertices reached from `start` along the edges of `mask` that g has."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        w = frontier.pop()
+        for eid, u, v in g.edges:
+            if (mask >> eid) & 1 and w in (u, v):
+                other = v if w == u else u
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+    return seen
+
+
+def test_class_roots_match_bfs_components(corpus):
+    rng = random.Random(15)
+    for index, base in enumerate(corpus):
+        g = permuted(base, index)
+        m = g.edge_count()
+        # three spare high bits: ids the graph lacks must be ignored
+        masks = [0, g.full_edge_set()] + [rng.getrandbits(m + 3)
+                                          for _ in range(6)]
+        for mask in masks:
+            roots = gr.class_roots(g, mask)
+            assert len(roots) == g.vertex_count
+            assert all(roots[r] == r for r in roots), (g, mask)
+            components = set()
+            for a in range(g.vertex_count):
+                reached = frozenset(_bfs_component(g, mask, a))
+                assert {b for b in range(g.vertex_count)
+                        if roots[b] == roots[a]} == reached, (g, mask, a)
+                components.add(reached)
+            assert gr.cc(g, mask) == len(components)
+        full = g.full_edge_set()
+        for eid, u, v in g.edges:
+            if u == v:
+                want = gr.LOOP
+            elif gr.cc(g, full & ~(1 << eid)) > gr.cc(g, full):
+                want = gr.ISTHMUS
+            else:
+                want = gr.STANDARD
+            assert gr.classify_edge(g, eid) == want, (g, eid)
 
 
 def test_spanning_trees_goldens(g4):
