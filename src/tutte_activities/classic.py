@@ -20,18 +20,54 @@ from .engine import MaskMinor
 # -- generic min/max rule ----------------------------------------------------
 
 
+def _fundamental_sets(g, tree_mask):
+    """Per edge id, its fundamental cycle (external) or cocycle (internal).
+
+    For a spanning tree only, from one rooting: an external edge's cycle is
+    the edge plus the tree edges of the two climbs from its ends to their
+    meeting vertex.  Cycles and cocycles are transposes of each other: an
+    internal edge t lies in the fundamental cycle of the external edge e
+    exactly when e lies in the fundamental cocycle of t, so t's cocycle is t
+    plus every external edge whose cycle passes through t.
+    """
+    adj = [[] for _ in range(g.vertex_count)]
+    for eid, u, v in g.edges:
+        if (tree_mask >> eid) & 1:
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+    up = [None] * g.vertex_count  # vertex -> (parent vertex, tree edge)
+    depth = [-1] * g.vertex_count
+    depth[0] = 0
+    stack = [0]
+    while stack:
+        w = stack.pop()
+        for nxt, eid in adj[w]:
+            if depth[nxt] < 0:
+                up[nxt] = (w, eid)
+                depth[nxt] = depth[w] + 1
+                stack.append(nxt)
+    sets = {eid: 1 << eid for eid, _, _ in g.edges}
+    for eid, u, v in g.edges:
+        if (tree_mask >> eid) & 1:
+            continue
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            u, tid = up[u]
+            sets[eid] |= 1 << tid
+            sets[tid] |= 1 << eid
+    return sets
+
+
 def _extreme_rule(g, rank, tree_mask, pick):
     """Active = edges extreme (by `rank`) in their fundamental cycle/cocycle."""
     internal = 0
     external = 0
-    for eid, _, _ in g.edges:
-        if (tree_mask >> eid) & 1:
-            cut = gr.fundamental_cocycle(g, tree_mask, eid)
-            if eid == pick(gr.edge_ids(cut), key=rank.__getitem__):
+    for eid, fundamental in _fundamental_sets(g, tree_mask).items():
+        if eid == pick(gr.edge_ids(fundamental), key=rank.__getitem__):
+            if (tree_mask >> eid) & 1:
                 internal |= 1 << eid
-        else:
-            cyc = gr.fundamental_cycle(g, tree_mask, eid)
-            if eid == pick(gr.edge_ids(cyc), key=rank.__getitem__):
+            else:
                 external |= 1 << eid
     return internal, external
 

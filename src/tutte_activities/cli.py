@@ -26,11 +26,22 @@ from .tutte import (tutte_connected, tutte_definitional, tutte_delcon,
                     tutte_forest_activity, tutte_half)
 
 
+def _parse_ids(text, flag):
+    """The ids of a comma-separated list; a bad token names its flag."""
+    ids = []
+    for tok in text.split(","):
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{flag}: {tok!r} is not an edge id") from None
+    return ids
+
+
 def _parse_edge_set(text, g):
-    """Mask of a comma-separated id list; every id must be an edge of g."""
+    """Mask of a --tree id list; every id must be an edge of g."""
     if text in ("", "-"):
         return 0
-    ids = [int(tok) for tok in text.split(",")]
+    ids = _parse_ids(text, "--tree")
     unknown = sorted({i for i in ids if not g.has_edge(i)})
     if unknown:
         raise ValueError("no edge with id " + ",".join(map(str, unknown)))
@@ -122,7 +133,7 @@ def _cmd_activity(args):
 
 def _cmd_ordering(args):
     g, _ = _load_inputs(args)
-    order = [int(t) for t in args.order.split(",")]
+    order = _parse_ids(args.order, "--order")
     tree = _parse_edge_set(args.tree, g)
     internal, external = ordering_active(g, order, tree)
     print(f"internal: {_format_edge_set(internal)}")

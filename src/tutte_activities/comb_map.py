@@ -18,7 +18,7 @@ from .graph import ISTHMUS, Graph, classify_edge, is_spanning_tree
 
 
 def _cycles_of(perm):
-    """Cycles of a permutation given as a list, ordered by smallest element."""
+    """Cycles of a permutation (any sequence), ordered by smallest element."""
     n = len(perm)
     seen = [False] * n
     cycles = []
@@ -45,7 +45,7 @@ def _invert(perm):
 class CombMap:
     """Immutable rooted combinatorial map."""
 
-    __slots__ = ("sigma", "alpha", "root", "names")
+    __slots__ = ("sigma", "alpha", "root", "names", "_derived")
 
     def __init__(self, sigma, alpha, root, names=None):
         sigma = tuple(sigma)
@@ -82,6 +82,7 @@ class CombMap:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_derived", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CombMap is immutable")
@@ -104,38 +105,53 @@ class CombMap:
 
     def __repr__(self):
         sig = "".join("(" + " ".join(self.name_of(h) for h in c) + ")"
-                      for c in _cycles_of(list(self.sigma)))
+                      for c in self.vertex_cycles())
         return f"CombMap(sigma={sig}, root={self.name_of(self.root)})"
 
     # -- derived structure ------------------------------------------------
+    #
+    # Derived together on the first call of any accessor below and cached in
+    # `_derived`, so a map that is built but never queried pays nothing.
+
+    def _structure(self):
+        """The five derived values, in the order of the accessors below."""
+        derived = self._derived
+        if derived is None:
+            n = len(self.sigma)
+            cycles = tuple(_cycles_of(self.sigma))
+            vertex = [0] * n
+            for vid, cyc in enumerate(cycles):
+                for h in cyc:
+                    vertex[h] = vid
+            pairs = tuple((h, a) for h, a in enumerate(self.alpha) if h < a)
+            edge = [0] * n
+            for eid, (h1, h2) in enumerate(pairs):
+                edge[h1] = edge[h2] = eid
+            graph = Graph(len(cycles), [(eid, vertex[h1], vertex[h2])
+                                        for eid, (h1, h2) in enumerate(pairs)])
+            derived = (cycles, tuple(vertex), pairs, tuple(edge), graph)
+            object.__setattr__(self, "_derived", derived)
+        return derived
 
     def vertex_cycles(self):
         """Cycles of sigma, ordered by smallest half-edge id."""
-        return _cycles_of(list(self.sigma))
+        return self._structure()[0]
 
     def vertex_of(self):
-        """Array: half-edge id -> vertex id (rank of its sigma-cycle)."""
-        out = [0] * len(self.sigma)
-        for vid, cyc in enumerate(self.vertex_cycles()):
-            for h in cyc:
-                out[h] = vid
-        return out
+        """Tuple: half-edge id -> vertex id (rank of its sigma-cycle)."""
+        return self._structure()[1]
 
     def edge_pairs(self):
         """Alpha-orbits as (h, alpha(h)) with h < alpha(h), ordered by h."""
-        pairs = []
-        for h in range(len(self.sigma)):
-            if h < self.alpha[h]:
-                pairs.append((h, self.alpha[h]))
-        return pairs
+        return self._structure()[2]
 
     def edge_of(self):
-        """Array: half-edge id -> edge id (rank of its alpha-orbit)."""
-        out = [0] * len(self.sigma)
-        for eid, (h1, h2) in enumerate(self.edge_pairs()):
-            out[h1] = eid
-            out[h2] = eid
-        return out
+        """Tuple: half-edge id -> edge id (rank of its alpha-orbit)."""
+        return self._structure()[3]
+
+    def underlying_graph(self) -> Graph:
+        """Vertices are the sigma-cycles, edge ids the alpha-orbit ranks."""
+        return self._structure()[4]
 
     def edge_name(self, eid):
         h1, h2 = self.edge_pairs()[eid]
@@ -146,12 +162,6 @@ class CombMap:
             if self.name_of(h1) == name or self.name_of(h2) == name:
                 return eid
         raise ValueError(f"no edge named {name!r}")
-
-    def underlying_graph(self) -> Graph:
-        vertex = self.vertex_of()
-        edges = [(eid, vertex[h1], vertex[h2])
-                 for eid, (h1, h2) in enumerate(self.edge_pairs())]
-        return Graph(len(self.vertex_cycles()), edges)
 
     def faces(self):
         """Cycles of sigma composed with alpha."""
@@ -272,7 +282,7 @@ def map_contract(m: CombMap, eid: int) -> CombMap:
 
 def mirror(m: CombMap) -> CombMap:
     """The map with inverted rotation, rooted on sigma^-1 of the old root."""
-    inv = _invert(list(m.sigma))
+    inv = _invert(m.sigma)
     return CombMap(inv, m.alpha, inv[m.root], m.names)
 
 
@@ -373,14 +383,14 @@ def parse_map(text: str) -> CombMap:
 
 
 def format_map(m: CombMap) -> str:
-    def cycles_str(perm):
+    def cycles_str(cycles):
         return "".join("(" + " ".join(m.name_of(h) for h in cyc) + ")"
-                       for cyc in _cycles_of(list(perm)))
+                       for cyc in cycles)
 
     lines = [
         f"halfedges {len(m.sigma)}",
-        f"sigma {cycles_str(m.sigma)}",
-        f"alpha {cycles_str(m.alpha)}",
+        f"sigma {cycles_str(m.vertex_cycles())}",
+        f"alpha {cycles_str(_cycles_of(m.alpha))}",
         f"root {m.name_of(m.root)}",
     ]
     return "\n".join(lines) + "\n"

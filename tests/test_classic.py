@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities.classic import (blossoming_active,
+from tutte_activities.classic import (_fundamental_sets, blossoming_active,
                                       blossoming_charge_check,
                                       blossoming_first_visit_order,
                                       blossoming_internal_active,
@@ -14,7 +16,8 @@ from tutte_activities.comb_map import genus, mirror, parse_map, tour_order
 from tutte_activities.decision import (LEFT, RIGHT, DecisionOracle,
                                        from_linear_order, from_order_map)
 from tutte_activities.engine import delta_activity, delta_ordering, forest_walk
-from conftest import fixture_graph, fixture_map, letters_of, mask_of
+from tutte_activities.harness import connected_multigraphs
+from conftest import fixture_graph, fixture_map, letters_of, mask_of, permuted
 
 
 def edge_mask(m, names):
@@ -52,6 +55,74 @@ def test_ordering_rejects_bad_inputs(g4):
         ordering_active(g4, [0, 1, 2], mask_of("ac"))
     with pytest.raises(ValueError):
         ordering_active(g4, [0, 1, 2, 3], mask_of("ad"))
+
+
+# -- fundamental sets from one rooting ----------------------------------------
+
+
+def per_edge_extreme_rule(g, rank, tree_mask, pick):
+    """The extreme rule with one single-edge fundamental set query per edge."""
+    internal = 0
+    external = 0
+    for eid, _, _ in g.edges:
+        if (tree_mask >> eid) & 1:
+            cut = gr.fundamental_cocycle(g, tree_mask, eid)
+            if eid == pick(gr.edge_ids(cut), key=rank.__getitem__):
+                internal |= 1 << eid
+        else:
+            cyc = gr.fundamental_cycle(g, tree_mask, eid)
+            if eid == pick(gr.edge_ids(cyc), key=rank.__getitem__):
+                external |= 1 << eid
+    return internal, external
+
+
+@pytest.fixture(scope="module")
+def rooting_graphs(corpus):
+    """Desk corpus and small multigraphs, as given and with permuted ids."""
+    graphs = corpus + connected_multigraphs(4)
+    return graphs + [permuted(g, seed) for seed, g in enumerate(graphs)]
+
+
+def test_fundamental_sets_match_the_single_edge_queries(rooting_graphs):
+    for g in rooting_graphs:
+        for t in gr.spanning_trees(g):
+            sets = _fundamental_sets(g, t)
+            assert sorted(sets) == sorted(g.edge_ids), (g, t)
+            for eid in g.edge_ids:
+                if (t >> eid) & 1:
+                    expected = gr.fundamental_cocycle(g, t, eid)
+                else:
+                    expected = gr.fundamental_cycle(g, t, eid)
+                assert sets[eid] == expected, (g, t, eid)
+
+
+def test_ordering_and_maximal_rules_match_the_per_edge_rule(rooting_graphs):
+    rng = random.Random(16)
+    for g in rooting_graphs:
+        order = list(g.edge_ids)
+        rng.shuffle(order)
+        rank = {eid: i for i, eid in enumerate(order)}
+        for t in gr.spanning_trees(g):
+            assert ordering_active(g, order, t) == \
+                per_edge_extreme_rule(g, rank, t, min), (g, order, t)
+            assert maximal_active(g, order, t) == \
+                per_edge_extreme_rule(g, rank, t, max), (g, order, t)
+
+
+@pytest.mark.parametrize("name", ["parallel_triangle", "parallel_triangle_alt",
+                                  "pruning_planar", "nonplanar_parallel",
+                                  "two_crossing_loops", "loop_contract_guard"])
+def test_map_rules_match_the_per_edge_rule(name):
+    m = fixture_map(name)
+    g = m.underlying_graph()
+    for t in gr.spanning_trees(g):
+        tour = {e: i for i, e in enumerate(tour_order(m, t)[1])}
+        assert embedding_active(m, t) == \
+            per_edge_extreme_rule(g, tour, t, min), t
+        visits = {e: i for i, e in
+                  enumerate(blossoming_first_visit_order(m, t))}
+        assert blossoming_active(m, t) == \
+            per_edge_extreme_rule(g, visits, t, max), t
 
 
 # -- embedding ----------------------------------------------------------------

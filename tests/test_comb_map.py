@@ -1,11 +1,13 @@
+import random
+
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities.comb_map import (CombMap, format_map, genus, map_contract,
-                                       map_delete, mirror, motion_function,
-                                       parse_map, tour_order)
-from tutte_activities.harness import canonical_form
-from conftest import fixture_map
+from tutte_activities.comb_map import (CombMap, _cycles_of, format_map, genus,
+                                       map_contract, map_delete, mirror,
+                                       motion_function, parse_map, tour_order)
+from tutte_activities.harness import canonical_form, connected_multigraphs
+from conftest import FIXTURES, fixture_map
 
 
 def edge_mask(m, names):
@@ -191,7 +193,9 @@ def test_validation_rejects_bad_maps():
 
 
 @pytest.mark.parametrize("name", ["parallel_triangle", "pruning_planar",
-                                  "two_crossing_loops", "loop_contract_guard"])
+                                  "two_crossing_loops", "loop_contract_guard",
+                                  "parallel_triangle_alt",
+                                  "nonplanar_parallel"])
 def test_map_format_round_trip(name):
     m = fixture_map(name)
     text = format_map(m)
@@ -206,3 +210,110 @@ def test_faces_match_euler(embedding_map):
     e = m.edge_count()
     f = len(m.faces())
     assert v - e + f == 2 - 2 * genus(m)
+
+
+# -- the cached derived structure ---------------------------------------------
+
+
+def derive_from_scratch(m):
+    """The five derived values, recomputed from sigma and alpha alone."""
+    cycles = _cycles_of(list(m.sigma))
+    vertex_of = [0] * len(m.sigma)
+    for vid, cyc in enumerate(cycles):
+        for h in cyc:
+            vertex_of[h] = vid
+    pairs = []
+    for h in range(len(m.sigma)):
+        if h < m.alpha[h]:
+            pairs.append((h, m.alpha[h]))
+    edge_of = [0] * len(m.sigma)
+    for eid, (h1, h2) in enumerate(pairs):
+        edge_of[h1] = eid
+        edge_of[h2] = eid
+    graph = gr.Graph(len(cycles), [(eid, vertex_of[h1], vertex_of[h2])
+                                   for eid, (h1, h2) in enumerate(pairs)])
+    return cycles, vertex_of, pairs, edge_of, graph
+
+
+def seeded_rotation(g, rng):
+    """A map of g with a shuffled rotation at each vertex and a random root."""
+    around = {}
+    for eid, u, v in g.edges:
+        around.setdefault(u, []).append(2 * eid)
+        around.setdefault(v, []).append(2 * eid + 1)
+    sigma = [0] * (2 * g.edge_count())
+    for halves in around.values():
+        rng.shuffle(halves)
+        for i, h in enumerate(halves):
+            sigma[h] = halves[(i + 1) % len(halves)]
+    return CombMap(sigma, [h ^ 1 for h in range(len(sigma))],
+                   rng.randrange(len(sigma)))
+
+
+def cache_maps():
+    """Every fixture map and seeded rotation systems of small multigraphs."""
+    maps = [parse_map(p.read_text())
+            for p in sorted((FIXTURES / "maps").glob("*.map"))]
+    rng = random.Random(16)
+    maps += [seeded_rotation(g, rng) for g in connected_multigraphs(3)
+             for _ in range(2)]
+    return maps
+
+
+ACCESSORS = ("vertex_cycles", "vertex_of", "edge_pairs", "edge_of",
+             "underlying_graph")
+
+
+def assert_derived_from_scratch(m):
+    cycles, vertex_of, pairs, edge_of, graph = derive_from_scratch(m)
+    assert m.vertex_cycles() == tuple(cycles)
+    assert m.vertex_of() == tuple(vertex_of)
+    assert m.edge_pairs() == tuple(pairs)
+    assert m.edge_of() == tuple(edge_of)
+    assert m.underlying_graph() == graph
+
+
+def test_accessors_equal_a_fresh_derivation():
+    for m in cache_maps():
+        assert_derived_from_scratch(m)
+        for name in ACCESSORS[:4]:
+            assert type(getattr(m, name)()) is tuple
+
+
+def test_accessors_return_one_cached_object():
+    for m in cache_maps():
+        first = [getattr(m, name)() for name in ACCESSORS]
+        again = [getattr(m, name)() for name in ACCESSORS]
+        assert all(a is b for a, b in zip(first, again))
+
+
+def test_cache_does_not_make_the_map_mutable():
+    m = fixture_map("parallel_triangle")
+    for filled in (False, True):
+        if filled:
+            m.underlying_graph()
+        for name in ("_derived", "sigma", "root", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+
+
+def test_equality_and_hash_ignore_the_cache():
+    for m in cache_maps():
+        twin = CombMap(m.sigma, m.alpha, m.root, m.names)
+        before = hash(m)
+        m.underlying_graph()
+        assert hash(m) == before == hash(twin)
+        assert m == twin and twin == m
+
+
+def test_new_maps_derive_their_own_structure():
+    for m in cache_maps():
+        g = m.underlying_graph()  # fills the parent's cache first
+        made = [mirror(m)]
+        for eid in g.edge_ids if g.edge_count() > 1 else ():
+            if gr.classify_edge(g, eid) != gr.ISTHMUS:
+                made.append(map_delete(m, eid))
+            if not g.is_loop(eid):
+                made.append(map_contract(m, eid))
+        for new in made:
+            assert_derived_from_scratch(new)

@@ -206,6 +206,20 @@ def test_cli_ordering():
     assert out.stdout == "internal: {0}\nexternal: {}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("ordering", "--order", "0,x,2,3", "--tree", "0,2"),
+     "error: --order: 'x' is not an edge id"),
+    (("ordering", "--order", "0,1,2,3", "--tree", "0,2.5"),
+     "error: --tree: '2.5' is not an edge id"),
+    (("activity", "--tree", "1,,3"), "error: --tree: '' is not an edge id"),
+    (("history", "--tree", "a"), "error: --tree: 'a' is not an edge id"),
+])
+def test_cli_non_integer_edge_id_names_its_flag(argv, message):
+    out = run_cli(argv[0], "--graph", G4, *argv[1:])
+    assert _one_error_line(out) == message
+    assert out.stdout == ""
+
+
 def test_cli_history():
     out = run_cli("history", "--graph", G4, "--tree", "0,3",
                   "--oracle", f"file:{TREE_FILE}")
