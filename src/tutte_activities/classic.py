@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import graph as gr
 from .comb_map import CombMap, mirror, tour_order
 from .decision import RIGHT, DecisionOracle, OrderMapOracle
-from .engine import MaskMinor
+from .engine import edge_kind
 
 
 # -- generic min/max rule ----------------------------------------------------
@@ -136,7 +136,6 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
     g0 = m.underlying_graph()
     if not gr.is_forest(g0, forest_mask):
         raise ValueError("input edge set contains a cycle")
-    minor = MaskMinor(g0)
     sigma = m.sigma
     alpha = m.alpha
     edge_of = m.edge_of()
@@ -162,7 +161,7 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
         if first:
             seen |= bit
             first_visit.append(eid)
-        is_isthmus = minor.kind(roots, dead, eid) == gr.ISTHMUS
+        is_isthmus = edge_kind(g0, roots, dead, eid) == gr.ISTHMUS
         if first and is_isthmus:
             isthmus_first |= bit
         if not is_isthmus and not forest_mask & bit:

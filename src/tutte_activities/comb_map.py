@@ -87,6 +87,12 @@ class CombMap:
     def __setattr__(self, name, value):
         raise AttributeError("CombMap is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, so the copy starts
+        # with an empty `_derived` cache; the default slot restore would call
+        # the refusing __setattr__
+        return CombMap, (self.sigma, self.alpha, self.root, self.names)
+
     def half_edge_count(self):
         return len(self.sigma)
 

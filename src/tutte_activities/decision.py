@@ -44,6 +44,7 @@ class DecisionOracle:
     def __init__(self, edge_ids, table=None):
         self.edge_ids = tuple(sorted(set(edge_ids)))
         self.m = len(self.edge_ids)
+        self.full = sum(1 << e for e in self.edge_ids)
         self.table = {} if table is None else table
 
     def next_edge(self, prefix, used=None):
@@ -59,8 +60,11 @@ class DecisionOracle:
                 used = 0
                 for j in range(len(prefix)):
                     used |= 1 << self.next_edge(prefix[:j], used)
-            answer = self.choose(prefix, [e for e in self.edge_ids
-                                          if not (used >> e) & 1])
+            # The unused ids, ascending: the set bits of one string, not one
+            # shift of `used` per edge (quadratic on long paths).
+            free = bin(self.full & ~used)[:1:-1]
+            answer = self.choose(prefix, [e for e, bit in enumerate(free)
+                                          if bit == "1"])
             table[prefix] = answer
         return answer
 

@@ -6,11 +6,10 @@ along the way.  The contracted classes are `graph.class_roots` of the
 `contracted` mask: each vertex maps to the root of its class.  An edge is a
 loop of the minor when its endpoints share a root, and an isthmus when they
 do not meet through every other surviving edge: one union-find pass, seeded
-from the roots (`MaskMinor.kind`).  `MaskMinor.classify` is the two in one
-call.
+from the roots (`edge_kind`).
 
 The roots change only when an edge is contracted.  The single passes
-update them in place (`MaskMinor.contract`).  The walks build them once per
+update them in place (`_contract`).  The walks build them once per
 branch popped off their stack, from that branch's `contracted` mask: along
 the branch they delete edges and type loops and isthmuses, none of which
 moves a root.
@@ -25,7 +24,7 @@ flag settings produce the same types.
 
 Every pass asks a node's ancestors before the node and hands the oracle the
 mask of the edges it has typed, which are the answers on the node's path
-(`MaskMinor.visit`); an oracle keeps no record of the paths it answered.
+(`_visit`); an oracle keeps no record of the paths it answered.
 
 `decision_walk` walks the decision tree itself, querying the oracle once per
 node.  It branches only at standard edges, where deletion and contraction
@@ -53,79 +52,59 @@ TYPE_I = "I"
 DIRECTION_OF_TYPE = {TYPE_SE: LEFT, TYPE_L: LEFT, TYPE_SI: RIGHT, TYPE_I: RIGHT}
 
 
-class MaskMinor:
-    """The minors of one graph, each given as (contracted, deleted) masks.
+def _contract(g, roots, eid):
+    """Merge the classes of an edge's ends in place."""
+    u, v = g._by_id[eid]
+    a, b = roots[u], roots[v]
+    if a != b:
+        for w, c in enumerate(roots):
+            if c == a:
+                roots[w] = b
 
-    The contracted classes come as roots, one per vertex: `graph.class_roots`
-    of the `contracted` mask.
+
+def edge_kind(g, roots, gone, eid):
+    """Loop, Isthmus or Standard, given the contracted classes' roots.
+
+    `roots` is `graph.class_roots` of the contracted edges and `gone` holds
+    the contracted and the deleted edges.  The isthmus test is one
+    union-find over the other surviving edges, seeded from the roots.  It
+    stays inline rather than calling `graph.class_roots`: it asks about one
+    pair of ends only, and it is the hottest loop of every walk, where a
+    flattening pass over all vertices costs time.
     """
-
-    __slots__ = ("g", "ends", "edges")
-
-    def __init__(self, g):
-        # g's own endpoint map and edge tuple, shared rather than copied.  A
-        # per-edge copy for every history raised the peak memory of the
-        # subgraph routes by about 1 MB over the desk corpus.
-        self.g = g
-        self.ends = g._by_id
-        self.edges = g.edges
-
-    def contract(self, roots, eid):
-        """Merge the classes of an edge's ends in place."""
-        u, v = self.ends[eid]
-        a, b = roots[u], roots[v]
-        if a != b:
-            for w, c in enumerate(roots):
-                if c == a:
-                    roots[w] = b
-
-    def kind(self, roots, gone, eid):
-        """Loop, Isthmus or Standard, given the contracted classes' roots.
-
-        `gone` holds the contracted and the deleted edges.  The isthmus test
-        is one union-find over the other surviving edges, seeded from the
-        roots.  It stays inline rather than calling `graph.class_roots`: it
-        asks about one pair of ends only, and it is the hottest loop of
-        every walk, where a flattening pass over all vertices costs time.
-        """
-        u, v = self.ends[eid]
-        u, v = roots[u], roots[v]
-        if u == v:
-            return gr.LOOP
-        parent = roots[:]
-        gone |= 1 << eid
-        for f, a, b in self.edges:
-            if not (gone >> f) & 1:
+    u, v = g._by_id[eid]
+    u, v = roots[u], roots[v]
+    if u == v:
+        return gr.LOOP
+    parent = roots[:]
+    gone |= 1 << eid
+    for f, a, b in g.edges:
+        if not (gone >> f) & 1:
+            a = parent[a]
+            while parent[a] != a:
                 a = parent[a]
-                while parent[a] != a:
-                    a = parent[a]
+            b = parent[b]
+            while parent[b] != b:
                 b = parent[b]
-                while parent[b] != b:
-                    b = parent[b]
-                parent[a] = b
-        while parent[u] != u:
-            u = parent[u]
-        while parent[v] != v:
-            v = parent[v]
-        return gr.STANDARD if u == v else gr.ISTHMUS
-
-    def classify(self, contracted, deleted, eid):
-        """Loop, Isthmus or Standard: the kind of a surviving edge."""
-        return self.kind(gr.class_roots(self.g, contracted),
-                         contracted | deleted, eid)
-
-    def visit(self, oracle, prefix, typed):
-        """The oracle's next edge, checked to be a known edge not yet typed."""
-        eid = oracle.next_edge(prefix, typed)
-        if eid not in self.ends or (typed >> eid) & 1:
-            raise ValueError(f"oracle returned unusable edge {eid}")
-        return eid
+            parent[a] = b
+    while parent[u] != u:
+        u = parent[u]
+    while parent[v] != v:
+        v = parent[v]
+    return gr.STANDARD if u == v else gr.ISTHMUS
 
 
-def _connected_minor(g):
+def _visit(g, oracle, prefix, typed):
+    """The oracle's next edge, checked to be a known edge not yet typed."""
+    eid = oracle.next_edge(prefix, typed)
+    if eid not in g._by_id or (typed >> eid) & 1:
+        raise ValueError(f"oracle returned unusable edge {eid}")
+    return eid
+
+
+def _require_connected(g):
     if not gr.is_connected(g):
         raise ValueError("graph must be connected")
-    return MaskMinor(g)
 
 
 def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
@@ -136,20 +115,20 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
     toggle the optional removal of L-typed and I-typed edges from the minor;
     they never change the output, only the masks the pass carries.
     """
-    minor = _connected_minor(g)
+    _require_connected(g)
     roots = gr.class_roots(g, 0)
     contracted = deleted = typed = 0
     prefix = ()
     history = []
     for _ in range(g.edge_count()):
-        eid = minor.visit(oracle, prefix, typed)
+        eid = _visit(g, oracle, prefix, typed)
         bit = 1 << eid
-        kind = minor.kind(roots, contracted | deleted, eid)
+        kind = edge_kind(g, roots, contracted | deleted, eid)
         typed |= bit
         if kind == gr.STANDARD:
             if subgraph_mask & bit:
                 contracted |= bit
-                minor.contract(roots, eid)
+                _contract(g, roots, eid)
                 etype = TYPE_SI
             else:
                 deleted |= bit
@@ -161,7 +140,7 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
         else:  # isthmus
             if contract_isthmuses:
                 contracted |= bit
-                minor.contract(roots, eid)
+                _contract(g, roots, eid)
             etype = TYPE_I
         history.append((eid, etype))
         prefix += (DIRECTION_OF_TYPE[etype],)
@@ -175,7 +154,7 @@ def decision_walk(g, oracle):
     reference cycle and lets go of the oracle once it is exhausted.  Every
     node's edge is asked for once and must be usable, as in `run_history`.
     """
-    minor = _connected_minor(g)
+    _require_connected(g)
     m = g.edge_count()
     # (prefix, contracted, deleted, internal, external); the typed edges are
     # the union of the four masks.
@@ -185,9 +164,9 @@ def decision_walk(g, oracle):
         roots = gr.class_roots(g, contracted)
         while len(prefix) < m:
             typed = contracted | deleted | internal | external
-            eid = minor.visit(oracle, prefix, typed)
+            eid = _visit(g, oracle, prefix, typed)
             bit = 1 << eid
-            kind = minor.kind(roots, contracted | deleted, eid)
+            kind = edge_kind(g, roots, contracted | deleted, eid)
             if kind == gr.STANDARD:
                 stack.append((prefix + (RIGHT,), contracted | bit, deleted,
                               internal, external))
@@ -209,8 +188,8 @@ def forest_walk(g, oracle):
     every other edge branches, out of the forest (left) or contracted (right).
     Only loops are told apart, so the roots alone type an edge.
     """
-    minor = _connected_minor(g)
-    ends = minor.ends
+    _require_connected(g)
+    ends = g._by_id
     m = g.edge_count()
     # (prefix, contracted, typed, active)
     stack = [((), 0, 0, 0)]
@@ -218,7 +197,7 @@ def forest_walk(g, oracle):
         prefix, contracted, typed, active = stack.pop()
         roots = gr.class_roots(g, contracted)
         while len(prefix) < m:
-            eid = minor.visit(oracle, prefix, typed)
+            eid = _visit(g, oracle, prefix, typed)
             bit = 1 << eid
             typed |= bit
             u, v = ends[eid]
@@ -275,15 +254,14 @@ def internal_active_no_contract(g, oracle, tree_mask):
     """
     if not gr.is_spanning_tree(g, tree_mask):
         raise ValueError("edge set is not a spanning tree")
-    minor = MaskMinor(g)
     roots = gr.class_roots(g, 0)
     deleted = typed = 0
     prefix = ()
     result = 0
     for _ in range(g.edge_count()):
-        eid = minor.visit(oracle, prefix, typed)
+        eid = _visit(g, oracle, prefix, typed)
         bit = 1 << eid
-        kind = minor.kind(roots, deleted, eid)
+        kind = edge_kind(g, roots, deleted, eid)
         typed |= bit
         if kind != gr.ISTHMUS and not tree_mask & bit:
             deleted |= bit
@@ -302,14 +280,14 @@ def forest_active(g, oracle, subgraph_mask):
     non-loops are contracted and steer right.  For a spanning forest the
     output is its set of cycle-closing active external edges.
     """
-    minor = _connected_minor(g)
-    ends = minor.ends
+    _require_connected(g)
+    ends = g._by_id
     roots = gr.class_roots(g, 0)
     typed = 0
     prefix = ()
     result = 0
     for _ in range(g.edge_count()):
-        eid = minor.visit(oracle, prefix, typed)
+        eid = _visit(g, oracle, prefix, typed)
         bit = 1 << eid
         typed |= bit
         u, v = ends[eid]
@@ -317,7 +295,7 @@ def forest_active(g, oracle, subgraph_mask):
             result |= bit
             prefix += (LEFT,)
         elif subgraph_mask & bit:
-            minor.contract(roots, eid)
+            _contract(g, roots, eid)
             prefix += (RIGHT,)
         else:
             prefix += (LEFT,)

@@ -51,6 +51,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; the default slot
+        # restore would call the refusing __setattr__
+        return Graph, (self.vertex_count, self.edges)
+
     @property
     def edge_ids(self):
         return tuple(e[0] for e in self.edges)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from tutte_activities.comb_map import (CombMap, _cycles_of, format_map, genus,
                                        map_contract, map_delete, mirror,
                                        motion_function, parse_map, tour_order)
 from tutte_activities.harness import canonical_form, connected_multigraphs
-from conftest import FIXTURES, fixture_map
+from conftest import FIXTURES, fixture_graph, fixture_map
 
 
 def edge_mask(m, names):
@@ -317,3 +319,22 @@ def test_new_maps_derive_their_own_structure():
                 made.append(map_contract(m, eid))
         for new in made:
             assert_derived_from_scratch(new)
+
+
+def test_copy_and_pickle_round_trip_maps_and_graphs():
+    graphs = [fixture_graph(p.stem)
+              for p in sorted((FIXTURES / "graphs").glob("*.graph"))]
+    filled = fixture_map("parallel_triangle")
+    filled.underlying_graph()
+    maps = [fixture_map(p.stem)
+            for p in sorted((FIXTURES / "maps").glob("*.map"))] + [filled]
+    objects = graphs + maps + [m.underlying_graph() for m in maps]
+    for obj in objects:
+        for again in (copy.copy(obj), copy.deepcopy(obj),
+                      pickle.loads(pickle.dumps(obj))):
+            assert type(again) is type(obj)
+            assert again == obj and hash(again) == hash(obj)
+            if isinstance(obj, CombMap):
+                assert again.names == obj.names
+                assert again._derived is None  # rebuilt, not copied
+                assert_derived_from_scratch(again)

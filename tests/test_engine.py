@@ -6,9 +6,9 @@ import pytest
 from tutte_activities import graph as gr
 from tutte_activities.decision import (ExplicitTreeOracle,
                                        from_linear_order, random_oracle)
-from tutte_activities.engine import (DIRECTION_OF_TYPE, MaskMinor,
-                                     decision_walk, delta_activity,
-                                     delta_ordering, forest_active,
+from tutte_activities.engine import (DIRECTION_OF_TYPE, decision_walk,
+                                     delta_activity, delta_ordering,
+                                     edge_kind, forest_active,
                                      forest_walk, format_history,
                                      internal_active_no_contract, run_history,
                                      type_masks, types_by_edge)
@@ -338,7 +338,7 @@ def _rebuilt_leaves(g, oracle, forests=False):
     """The leaves of `decision_walk` or `forest_walk`, on rebuilt minors.
 
     Every node builds its minor with `gr.delete`/`gr.contract` and types
-    the edge with `gr.classify_edge`, so nothing here shares `MaskMinor`.
+    the edge with `gr.classify_edge`, so nothing here shares `edge_kind`.
     The tree walk deletes its loops and contracts its isthmuses, which
     types every edge alike; the forest walk keeps a non-forest edge and
     branches at every non-loop.
@@ -441,12 +441,12 @@ def test_walk_of_single_edge_graphs():
 
 def _random_minor_steps(g, rng):
     """Random delete/contract steps, checking every surviving edge first."""
-    minor = MaskMinor(g)
     h = g
     contracted = deleted = 0
     while h.edge_count():
+        roots = gr.class_roots(g, contracted)
         for eid in h.edge_ids:
-            assert minor.classify(contracted, deleted, eid) == \
+            assert edge_kind(g, roots, contracted | deleted, eid) == \
                 gr.classify_edge(h, eid), (g, contracted, deleted, eid)
         eid = rng.choice(h.edge_ids)
         if h.is_loop(eid) or rng.random() < 0.5:
@@ -469,12 +469,16 @@ def test_mask_classifier_equals_rebuilt_minor_classification(corpus):
 
 def test_mask_classifier_on_ids_not_from_zero():
     g = gr.Graph(3, [(5, 0, 1), (7, 0, 1), (9, 1, 2), (11, 2, 2)])
-    minor = MaskMinor(g)
-    assert minor.classify(0, 0, 5) == gr.STANDARD
-    assert minor.classify(0, 0, 9) == gr.ISTHMUS
-    assert minor.classify(0, 0, 11) == gr.LOOP
-    assert minor.classify(1 << 5, 0, 7) == gr.LOOP
-    assert minor.classify(0, 1 << 5, 7) == gr.ISTHMUS
+
+    def kind(contracted, deleted, eid):
+        return edge_kind(g, gr.class_roots(g, contracted),
+                         contracted | deleted, eid)
+
+    assert kind(0, 0, 5) == gr.STANDARD
+    assert kind(0, 0, 9) == gr.ISTHMUS
+    assert kind(0, 0, 11) == gr.LOOP
+    assert kind(1 << 5, 0, 7) == gr.LOOP
+    assert kind(0, 1 << 5, 7) == gr.ISTHMUS
 
 
 class _RepeatsOnLeft:
