@@ -76,19 +76,22 @@ def _rank_of(order):
     return {eid: i for i, eid in enumerate(order)}
 
 
-def ordering_active(g, order, tree_mask):
-    """Tutte's rule: minimal in the fundamental set for the linear order."""
+def _require_order(g, order, tree_mask):
     if sorted(order) != sorted(g.edge_ids):
         raise ValueError("order must be a permutation of the edges")
     if not gr.is_spanning_tree(g, tree_mask):
         raise ValueError("edge set is not a spanning tree")
+
+
+def ordering_active(g, order, tree_mask):
+    """Tutte's rule: minimal in the fundamental set for the linear order."""
+    _require_order(g, order, tree_mask)
     return _extreme_rule(g, _rank_of(order), tree_mask, min)
 
 
 def maximal_active(g, order, tree_mask):
     """Dual rule: maximal in the fundamental set for the given order."""
-    if not gr.is_spanning_tree(g, tree_mask):
-        raise ValueError("edge set is not a spanning tree")
+    _require_order(g, order, tree_mask)
     return _extreme_rule(g, _rank_of(order), tree_mask, max)
 
 
@@ -141,7 +144,7 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
     edge_of = m.edge_of()
     vertex_of = m.vertex_of()
     all_edges = g0.full_edge_set()
-    roots = gr.class_roots(g0, 0)  # nothing is ever contracted
+    roots = list(range(g0.vertex_count))  # nothing is ever contracted
 
     dead = seen = 0
     first_visit = []

@@ -2,17 +2,15 @@
 
 A minor of the input graph G is held as two bitmasks over G's edge ids,
 `contracted` and `deleted`; every other edge survives.  No graph is built
-along the way.  The contracted classes are `graph.class_roots` of the
-`contracted` mask: each vertex maps to the root of its class.  An edge is a
-loop of the minor when its endpoints share a root, and an isthmus when they
-do not meet through every other surviving edge: one union-find pass, seeded
-from the roots (`edge_kind`).
+along the way.  The contracted classes are a root list: each vertex maps to
+the root of its class.  An edge is a loop of the minor when its endpoints
+share a root, and an isthmus when they do not meet through every other
+surviving edge: one union-find pass, seeded from the roots (`edge_kind`).
 
-The roots change only when an edge is contracted.  The single passes
-update them in place (`_contract`).  The walks build them once per
-branch popped off their stack, from that branch's `contracted` mask: along
-the branch they delete edges and type loops and isthmuses, none of which
-moves a root.
+Every pass starts from the identity list, and only a contraction changes
+it: `_contract` returns a new list with the two end classes merged.  A
+single pass rebinds its list; a walk pushes the contracted list with the
+right branch and keeps its own for the left one.
 
 The typing pass visits the edges in the order dictated by the oracle.  The
 visited edge is classified in the current minor H: a standard external edge
@@ -53,24 +51,26 @@ DIRECTION_OF_TYPE = {TYPE_SE: LEFT, TYPE_L: LEFT, TYPE_SI: RIGHT, TYPE_I: RIGHT}
 
 
 def _contract(g, roots, eid):
-    """Merge the classes of an edge's ends in place."""
+    """A new root list with the classes of an edge's ends merged.
+
+    `roots` itself is left as it is: a walk keeps using it on the left
+    branch.  Every root stays its own root, since the merged class takes
+    the root of the other end.
+    """
     u, v = g._by_id[eid]
     a, b = roots[u], roots[v]
-    if a != b:
-        for w, c in enumerate(roots):
-            if c == a:
-                roots[w] = b
+    return [b if c == a else c for c in roots]
 
 
 def edge_kind(g, roots, gone, eid):
     """Loop, Isthmus or Standard, given the contracted classes' roots.
 
-    `roots` is `graph.class_roots` of the contracted edges and `gone` holds
-    the contracted and the deleted edges.  The isthmus test is one
-    union-find over the other surviving edges, seeded from the roots.  It
-    stays inline rather than calling `graph.class_roots`: it asks about one
-    pair of ends only, and it is the hottest loop of every walk, where a
-    flattening pass over all vertices costs time.
+    `roots` maps each vertex to its class's root and `gone` holds the
+    contracted and the deleted edges.  The isthmus test is one union-find
+    over the other surviving edges, seeded from the roots.  It stays inline
+    rather than calling `graph.class_roots`: it asks about one pair of ends
+    only, and it is the hottest loop of every walk, where a flattening pass
+    over all vertices costs time.
     """
     u, v = g._by_id[eid]
     u, v = roots[u], roots[v]
@@ -116,7 +116,7 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
     they never change the output, only the masks the pass carries.
     """
     _require_connected(g)
-    roots = gr.class_roots(g, 0)
+    roots = list(range(g.vertex_count))
     contracted = deleted = typed = 0
     prefix = ()
     history = []
@@ -128,7 +128,7 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
         if kind == gr.STANDARD:
             if subgraph_mask & bit:
                 contracted |= bit
-                _contract(g, roots, eid)
+                roots = _contract(g, roots, eid)
                 etype = TYPE_SI
             else:
                 deleted |= bit
@@ -140,7 +140,7 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
         else:  # isthmus
             if contract_isthmuses:
                 contracted |= bit
-                _contract(g, roots, eid)
+                roots = _contract(g, roots, eid)
             etype = TYPE_I
         history.append((eid, etype))
         prefix += (DIRECTION_OF_TYPE[etype],)
@@ -156,20 +156,19 @@ def decision_walk(g, oracle):
     """
     _require_connected(g)
     m = g.edge_count()
-    # (prefix, contracted, deleted, internal, external); the typed edges are
-    # the union of the four masks.
-    stack = [((), 0, 0, 0, 0)]
+    # (prefix, roots, contracted, deleted, internal, external); the typed
+    # edges are the union of the four masks.
+    stack = [((), list(range(g.vertex_count)), 0, 0, 0, 0)]
     while stack:
-        prefix, contracted, deleted, internal, external = stack.pop()
-        roots = gr.class_roots(g, contracted)
+        prefix, roots, contracted, deleted, internal, external = stack.pop()
         while len(prefix) < m:
             typed = contracted | deleted | internal | external
             eid = _visit(g, oracle, prefix, typed)
             bit = 1 << eid
             kind = edge_kind(g, roots, contracted | deleted, eid)
             if kind == gr.STANDARD:
-                stack.append((prefix + (RIGHT,), contracted | bit, deleted,
-                              internal, external))
+                stack.append((prefix + (RIGHT,), _contract(g, roots, eid),
+                              contracted | bit, deleted, internal, external))
                 deleted |= bit
                 prefix += (LEFT,)
             elif kind == gr.LOOP:
@@ -191,11 +190,10 @@ def forest_walk(g, oracle):
     _require_connected(g)
     ends = g._by_id
     m = g.edge_count()
-    # (prefix, contracted, typed, active)
-    stack = [((), 0, 0, 0)]
+    # (prefix, roots, contracted, typed, active)
+    stack = [((), list(range(g.vertex_count)), 0, 0, 0)]
     while stack:
-        prefix, contracted, typed, active = stack.pop()
-        roots = gr.class_roots(g, contracted)
+        prefix, roots, contracted, typed, active = stack.pop()
         while len(prefix) < m:
             eid = _visit(g, oracle, prefix, typed)
             bit = 1 << eid
@@ -204,15 +202,10 @@ def forest_walk(g, oracle):
             if roots[u] == roots[v]:
                 active |= bit
             else:
-                stack.append((prefix + (RIGHT,), contracted | bit, typed,
-                              active))
+                stack.append((prefix + (RIGHT,), _contract(g, roots, eid),
+                              contracted | bit, typed, active))
             prefix += (LEFT,)
         yield contracted, active
-
-
-def types_by_edge(history):
-    """Dict edge_id -> type from a history."""
-    return dict(history)
 
 
 def type_masks(history):
@@ -254,7 +247,7 @@ def internal_active_no_contract(g, oracle, tree_mask):
     """
     if not gr.is_spanning_tree(g, tree_mask):
         raise ValueError("edge set is not a spanning tree")
-    roots = gr.class_roots(g, 0)
+    roots = list(range(g.vertex_count))
     deleted = typed = 0
     prefix = ()
     result = 0
@@ -282,7 +275,7 @@ def forest_active(g, oracle, subgraph_mask):
     """
     _require_connected(g)
     ends = g._by_id
-    roots = gr.class_roots(g, 0)
+    roots = list(range(g.vertex_count))
     typed = 0
     prefix = ()
     result = 0
@@ -295,7 +288,7 @@ def forest_active(g, oracle, subgraph_mask):
             result |= bit
             prefix += (LEFT,)
         elif subgraph_mask & bit:
-            _contract(g, roots, eid)
+            roots = _contract(g, roots, eid)
             prefix += (RIGHT,)
         else:
             prefix += (LEFT,)

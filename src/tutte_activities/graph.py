@@ -6,9 +6,9 @@ by `delete` and `contract` keep the surviving ids unchanged, so edge subsets
 subgraphs are identified with their edge sets, represented as plain int
 bitmasks (bit i set = edge i present).
 
-Every component question goes through one union-find, `class_roots`; the
-walks in `engine` read a minor's contracted classes as `class_roots` of its
-`contracted` mask.
+Every component question goes through one union-find, `class_roots`.  The
+typing passes in `engine` do not call it: they carry a minor's contracted
+classes as a root list and merge two classes per contraction.
 
 The spanning trees and forests of a connected graph are the leaves of the
 walks in `engine`, which imports this module and so is imported late here.

@@ -13,6 +13,7 @@ never asserted absent.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 from . import graph as gr
 from .decision import LEFT, RIGHT, DecisionOracle
@@ -27,29 +28,17 @@ class BudgetExceeded(ValueError):
 
 def _enumerate_decision_functions(edge_ids):
     """Yield every prefix->edge table of a decision tree over the edge ids."""
-    ids = sorted(edge_ids)
-    m = len(ids)
-    assignments = {}
-
-    def rec(pending):
-        if not pending:
-            yield dict(assignments)
+    def subtrees(prefix, unused):
+        if not unused:
+            yield {}
             return
-        prefix, used = pending[0]
-        rest = pending[1:]
-        for e in ids:
-            if e in used:
-                continue
-            assignments[prefix] = e
-            if len(prefix) + 1 < m:
-                children = [(prefix + (LEFT,), used | {e}),
-                            (prefix + (RIGHT,), used | {e})]
-            else:
-                children = []
-            yield from rec(children + rest)
-        assignments.pop(prefix, None)
+        for e in unused:
+            rest = tuple(f for f in unused if f != e)
+            for left, right in product(subtrees(prefix + (LEFT,), rest),
+                                       subtrees(prefix + (RIGHT,), rest)):
+                yield {prefix: e, **left, **right}
 
-    yield from rec([((), frozenset())])
+    yield from subtrees((), tuple(sorted(edge_ids)))
 
 
 def decision_tree_activities(g):

@@ -109,6 +109,14 @@ def test_ordering_and_maximal_rules_match_the_per_edge_rule(rooting_graphs):
                 per_edge_extreme_rule(g, rank, t, max), (g, order, t)
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 3, 4],
+                                   [0, 1, 2, 7], []])
+def test_ordering_and_maximal_rules_reject_a_non_permutation(g4, order):
+    for rule in (ordering_active, maximal_active):
+        with pytest.raises(ValueError, match="permutation"):
+            rule(g4, order, mask_of("ab"))
+
+
 @pytest.mark.parametrize("name", ["parallel_triangle", "parallel_triangle_alt",
                                   "pruning_planar", "nonplanar_parallel",
                                   "two_crossing_loops", "loop_contract_guard"])

@@ -6,12 +6,12 @@ import pytest
 from tutte_activities import graph as gr
 from tutte_activities.decision import (ExplicitTreeOracle,
                                        from_linear_order, random_oracle)
-from tutte_activities.engine import (DIRECTION_OF_TYPE, decision_walk,
-                                     delta_activity, delta_ordering,
-                                     edge_kind, forest_active,
+from tutte_activities.engine import (DIRECTION_OF_TYPE, _contract,
+                                     decision_walk, delta_activity,
+                                     delta_ordering, edge_kind, forest_active,
                                      forest_walk, format_history,
                                      internal_active_no_contract, run_history,
-                                     type_masks, types_by_edge)
+                                     type_masks)
 from tutte_activities.harness import connected_multigraphs
 from conftest import fixture_graph, letters_of, mask_of, permuted
 
@@ -36,14 +36,14 @@ def test_full_type_table(g4, d4):
     for subgraphs, expected in TYPE_TABLE:
         for letters in subgraphs:
             history = run_history(g4, d4, mask_of(letters))
-            types = types_by_edge(history)
+            types = dict(history)
             assert (types[0], types[1], types[2], types[3]) == expected, letters
 
 
 def test_type_table_first_row_external_edge_is_standard_external(g4, d4):
     # For the class of the tree {b,d}, the external standard edge a must be
     # typed Se; Si would violate "Si edges are internal".
-    types = types_by_edge(run_history(g4, d4, mask_of("bd")))
+    types = dict(run_history(g4, d4, mask_of("bd")))
     assert types[0] == "Se"
 
 
@@ -437,6 +437,34 @@ def test_walk_of_single_edge_graphs():
                               from_linear_order([0]))) == [(1, 1, 0)]
     assert list(decision_walk(fixture_graph("single_loop"),
                               from_linear_order([0]))) == [(0, 0, 1)]
+
+
+def test_contract_follows_the_mask_and_leaves_its_input(corpus):
+    """Contractions from the identity give the classes of the mask.
+
+    The walks hand one root list to both branches of a node, so `_contract`
+    must not change the list it is given.
+    """
+    rng = random.Random(18)
+    for i, g in enumerate(corpus):
+        g = permuted(g, 100 + i)
+        for _ in range(3):
+            roots = list(range(g.vertex_count))
+            contracted = 0
+            order = list(g.edge_ids)
+            rng.shuffle(order)
+            for eid in order[:rng.randint(1, len(order))]:
+                before = roots[:]
+                merged = _contract(g, roots, eid)
+                assert roots == before, (g, contracted, eid)
+                roots = merged
+                contracted |= 1 << eid
+                expected = gr.class_roots(g, contracted)
+                # same partition: the root pairs match one to one
+                pairs = set(zip(roots, expected))
+                assert len(pairs) == len(set(roots)) == len(set(expected)), \
+                    (g, contracted, roots, expected)
+                assert all(roots[r] == r for r in roots), (g, roots)
 
 
 def _random_minor_steps(g, rng):

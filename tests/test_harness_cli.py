@@ -293,6 +293,15 @@ def test_cli_conjecture_scan_clean_graph():
     assert "every survivor leaves some edge never active" in out.stdout
 
 
+def test_cli_conjecture_scan_single_vertex(tmp_path):
+    path = tmp_path / "vertex.graph"
+    path.write_text("vertices 1\n")
+    out = run_cli("conjecture-scan", "--graph", str(path))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "strongly descriptive: 1" in out.stdout
+    assert "all survivors realized by decision trees" in out.stdout
+
+
 def test_cli_conjecture_scan_reports_findings():
     out = run_cli("conjecture-scan", "--graph", G4)
     assert out.returncode == 1  # counterexamples found and reported

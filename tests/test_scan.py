@@ -21,6 +21,16 @@ def test_single_loop_scan():
     assert report.survivors == [(1,)]
 
 
+def test_single_vertex_scan():
+    # The one decision tree of the edgeless graph is empty, and it realizes
+    # the one activity.
+    report = conjecture_scan(gr.Graph(1, []))
+    assert report.survivors == [(0,)]
+    assert not report.conjecture1_counterexamples
+    assert not report.conjecture2_counterexamples
+    assert "all survivors realized by decision trees" in report.text()
+
+
 def test_two_parallel_scan():
     g = fixture_graph("two_parallel")
     report = conjecture_scan(g)
@@ -36,6 +46,7 @@ def test_budget_guard(g4):
 
 
 def test_decision_function_enumeration_counts():
+    assert sum(1 for _ in _enumerate_decision_functions(range(0))) == 1
     assert sum(1 for _ in _enumerate_decision_functions(range(1))) == 1
     assert sum(1 for _ in _enumerate_decision_functions(range(2))) == 2
     assert sum(1 for _ in _enumerate_decision_functions(range(3))) == 12
