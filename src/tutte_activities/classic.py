@@ -413,6 +413,8 @@ def order_map_oracle(family, g, cmap=None):
         return DfsOracle(g)
     if cmap is None:
         raise ValueError(f"the {family} order map needs a map")
+    if cmap.underlying_graph() != g:
+        raise ValueError("the map must embed the graph")
     trees = gr.spanning_trees(g)
     if family == "embedding":
         mm = mirror(cmap)

@@ -14,7 +14,8 @@ could disconnect the map.
 
 from __future__ import annotations
 
-from .graph import ISTHMUS, Graph, classify_edge, is_spanning_tree
+from .graph import (ISTHMUS, Graph, classify_edge, is_spanning_tree,
+                    read_tokens)
 
 
 def _cycles_of(perm):
@@ -303,33 +304,24 @@ def mirror(m: CombMap) -> CombMap:
 # singleton cycles must be written explicitly.
 
 
-def _parse_cycles(body):
+def _parse_cycles(tokens):
     cycles = []
-    depth = 0
-    current = []
-    token = ""
-    for ch in body:
-        if ch == "(":
-            if depth:
+    current = None
+    for tok in tokens:
+        if tok == "(":
+            if current is not None:
                 raise ValueError("nested parenthesis in cycle notation")
-            depth = 1
             current = []
-            token = ""
-        elif ch == ")":
-            if token:
-                current.append(token)
-                token = ""
+        elif tok == ")":
+            if current is None:
+                raise ValueError("unbalanced parenthesis in cycle notation")
             cycles.append(current)
-            depth = 0
-        elif ch.isspace():
-            if token:
-                current.append(token)
-                token = ""
+            current = None
+        elif current is None:
+            raise ValueError("token outside cycle parentheses")
         else:
-            if not depth:
-                raise ValueError("token outside cycle parentheses")
-            token += ch
-    if depth:
+            current.append(tok)
+    if current is not None:
         raise ValueError("unbalanced parenthesis in cycle notation")
     return cycles
 
@@ -339,19 +331,17 @@ def parse_map(text: str) -> CombMap:
     sigma_cycles = None
     alpha_cycles = None
     root_name = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, body = line.partition(" ")
+    for lineno, (key, *body) in read_tokens(text):
         if key == "halfedges":
-            halfedges = int(body)
+            if len(body) != 1:
+                raise ValueError(f"line {lineno}: expected 'halfedges 2m'")
+            halfedges = int(body[0])
         elif key == "sigma":
             sigma_cycles = _parse_cycles(body)
         elif key == "alpha":
             alpha_cycles = _parse_cycles(body)
         elif key == "root":
-            root_name = body.strip()
+            root_name = " ".join(body)
         else:
             raise ValueError(f"line {lineno}: unknown directive {key!r}")
     if None in (halfedges, sigma_cycles, alpha_cycles, root_name):

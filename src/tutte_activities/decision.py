@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph, spanning_trees
+from .graph import Graph, read_tokens, spanning_trees
 
 LEFT = "l"
 RIGHT = "r"
@@ -22,6 +22,7 @@ RIGHT = "r"
 _DIRECTIONS = frozenset((LEFT, RIGHT))
 
 EXPLICIT_TREE_MAX_EDGES = 16
+_TOO_DEEP = f"explicit trees are limited to {EXPLICIT_TREE_MAX_EDGES} edges"
 
 
 class DecisionOracle:
@@ -96,8 +97,7 @@ class ExplicitTreeOracle(DecisionOracle):
     def __init__(self, root_node, edge_ids):
         super().__init__(edge_ids)
         if self.m > EXPLICIT_TREE_MAX_EDGES:
-            raise ValueError(
-                f"explicit trees are limited to {EXPLICIT_TREE_MAX_EDGES} edges")
+            raise ValueError(_TOO_DEEP)
         self.root = root_node
         self._validate(root_node, set(), ())
 
@@ -247,14 +247,9 @@ def check_tree_compatible(g: Graph, table):
 # Node label first, then the left and right subtrees; leaves are `(label)`.
 
 
-def _tokenize(text):
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
 def parse_decision_tree(text):
     """Parse the s-expression format into a nested (label, left, right) tree."""
-    tokens = _tokenize(text)
+    tokens = [tok for _, line in read_tokens(text) for tok in line]
     pos = 0
 
     def peek():
@@ -262,8 +257,10 @@ def parse_decision_tree(text):
             raise ValueError("unexpected end of tree")
         return tokens[pos]
 
-    def parse_node():
+    def parse_node(depth):
         nonlocal pos
+        if depth > EXPLICIT_TREE_MAX_EDGES:  # a tree on m edges nests m deep
+            raise ValueError(_TOO_DEEP)
         if peek() != "(":
             raise ValueError("expected '('")
         pos += 1
@@ -274,14 +271,14 @@ def parse_decision_tree(text):
         if peek() == ")":
             pos += 1
             return (label, None, None)
-        left = parse_node()
-        right = parse_node()
+        left = parse_node(depth + 1)
+        right = parse_node(depth + 1)
         if peek() != ")":
             raise ValueError("expected ')'")
         pos += 1
         return (label, left, right)
 
-    node = parse_node()
+    node = parse_node(1)
     if pos != len(tokens):
         raise ValueError("trailing tokens after tree")
     return node

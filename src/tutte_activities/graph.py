@@ -302,17 +302,24 @@ def fundamental_cocycle(g: Graph, tree_mask: int, eid: int) -> int:
 # One graph per file:
 #   vertices N
 #   edge <id> <u> <v>
-# Whitespace-separated; `#` starts a comment.
+# The map and decision-tree formats share this syntax, read by `read_tokens`:
+# `#` starts a comment, whitespace separates tokens, and `(` and `)` are
+# tokens of their own.
+
+
+def read_tokens(text: str):
+    """Yield (line number, tokens) for each line of `text` with a token."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        tokens = line.replace("(", " ( ").replace(")", " ) ").split()
+        if tokens:
+            yield lineno, tokens
 
 
 def parse_graph(text: str) -> Graph:
     vertex_count = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in read_tokens(text):
         if tokens[0] == "vertices":
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected 'vertices N'")

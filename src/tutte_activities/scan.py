@@ -48,16 +48,14 @@ def decision_tree_activities(g):
     ascending mask order.  Exponential in the edge count; meant for the
     tiny graphs of the scan.
     """
-    trees = gr.spanning_trees(g)
     # One oracle whose table is swapped per decision tree: building 576
     # oracles per graph cost the scan about 2%.
     oracle = DecisionOracle(g.edge_ids)
     seen = set()
     for table in _enumerate_decision_functions(oracle.edge_ids):
         oracle.table = table
-        active = {t: internal | external for t, internal, external
-                  in decision_walk(g, oracle)}
-        seen.add(tuple(active[t] for t in trees))
+        seen.add(tuple(internal | external for _, internal, external
+                       in sorted(decision_walk(g, oracle))))
     return seen
 
 

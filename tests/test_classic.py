@@ -502,3 +502,17 @@ def test_dfs_activity_is_the_forest_rule_of_the_marking_dfs_tree(corpus):
         lazy = order_map_oracle("dfs", g)
         assert dict(forest_walk(g, lazy)) == expected, g
         assert lazy.table == table, g
+
+
+@pytest.mark.parametrize("family", ["embedding", "blossoming"])
+def test_order_map_oracle_rejects_a_map_of_another_graph(family):
+    cmap = fixture_map("parallel_triangle")
+    g = cmap.underlying_graph()
+    n = g.vertex_count
+    shifted = gr.Graph(n, [(eid, (u + 1) % n, (v + 1) % n)
+                           for eid, u, v in g.edges])
+    assert shifted != g
+    with pytest.raises(ValueError) as exc:
+        order_map_oracle(family, shifted, cmap)
+    assert str(exc.value) == "the map must embed the graph"
+    assert order_map_oracle(family, g, cmap).edge_ids == g.edge_ids

@@ -206,6 +206,38 @@ def test_map_format_round_trip(name):
     assert format_map(again) == text
 
 
+LOOP_LINES = ["halfedges 2", "sigma (a b)", "alpha (a b)", "root a"]
+
+
+@pytest.mark.parametrize("line,replacement,message", [
+    (4, "face (a)", "line 5: unknown directive 'face'"),
+    (3, None, "map file needs halfedges, sigma, alpha and root lines"),
+    (0, "halfedges 4", "declared 4 half-edges, found 2"),
+    (1, "sigma (a b)(a)", "half-edge a appears twice"),
+    (1, "sigma (a)", "cycle notation must cover every half-edge"),
+    (1, "sigma (a (b))", "nested parenthesis in cycle notation"),
+    (1, "sigma a (b)", "token outside cycle parentheses"),
+    (1, "sigma (a b", "unbalanced parenthesis in cycle notation"),
+    (2, "alpha (a b))", "unbalanced parenthesis in cycle notation"),
+    (0, "halfedges", "line 1: expected 'halfedges 2m'"),
+    (0, "halfedges 2 sigma (a b)", "line 1: expected 'halfedges 2m'"),
+])
+def test_map_parser_messages(line, replacement, message):
+    lines = list(LOOP_LINES)
+    if replacement is None:
+        del lines[line]
+    else:
+        lines[line:line + 1] = [replacement]
+    with pytest.raises(ValueError) as exc:
+        parse_map("\n".join(lines) + "\n")
+    assert str(exc.value) == message
+
+
+def test_map_directive_may_touch_its_parenthesis():
+    glued = "halfedges 2\nsigma(a b)\nalpha(a b) # loop\nroot a\n"
+    assert parse_map(glued) == parse_map("\n".join(LOOP_LINES))
+
+
 def test_faces_match_euler(embedding_map):
     m = embedding_map
     v = len(m.vertex_cycles())

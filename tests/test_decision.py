@@ -266,10 +266,24 @@ def test_sexpr_round_trip(d4):
 
 
 def test_sexpr_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_decision_tree("(0 (1)")
-    with pytest.raises(ValueError):
-        parse_decision_tree("(0) extra")
+    deep = "(0 " * 17 + "(0)" + ")" * 17
+    for text, message in [
+            ("(0 (1)", "unexpected end of tree"),
+            ("(0) extra", "trailing tokens after tree"),
+            ("(0) (1)", "trailing tokens after tree"),
+            ("(0 ())", "expected node label"),
+            ("(0 (1) (1) (1))", "expected ')'"),
+            (deep, "explicit trees are limited to 16 edges")]:
+        with pytest.raises(ValueError) as exc:
+            parse_decision_tree(text)
+        assert str(exc.value) == message
+    for root, message in [
+            (parse_decision_tree("(0 (1) (5))"), "unknown edge label 5"),
+            ((0, (1, None, None), None),
+             "node must have zero or two children")]:
+        with pytest.raises(ValueError) as exc:
+            ExplicitTreeOracle(root, [0, 1])
+        assert str(exc.value) == message
 
 
 def test_concurrent_queries_are_consistent(g4):

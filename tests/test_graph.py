@@ -239,10 +239,17 @@ def test_text_format_round_trip(name):
 
 
 def test_parser_reports_line_numbers():
-    with pytest.raises(ValueError, match="line 2"):
-        gr.parse_graph("vertices 2\nedge 0 0\n")
-    with pytest.raises(ValueError, match="vertices"):
-        gr.parse_graph("edge 0 0 1\n")
+    for text, message in [
+            ("vertices 2\nedge 0 0\n",
+             "line 2: expected 'edge <id> <u> <v>'"),
+            ("edge 0 0 1\n", "missing 'vertices' line"),
+            ("# two vertices\nvertices 2 3\n",
+             "line 2: expected 'vertices N'"),
+            ("vertices 2\n\nvertex 3\n",
+             "line 3: unknown directive 'vertex'")]:
+        with pytest.raises(ValueError) as exc:
+            gr.parse_graph(text)
+        assert str(exc.value) == message
 
 
 def test_constructor_validation():

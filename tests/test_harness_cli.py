@@ -367,6 +367,17 @@ def test_cli_truncated_decision_tree(tmp_path, text):
     assert _one_error_line(out) == f"error: {bad}: unexpected end of tree"
 
 
+def test_cli_deep_decision_tree(tmp_path):
+    deep = tmp_path / "deep.tree"
+    deep.write_text("(0 " * 3000 + "(0)" + ")" * 3000 + "\n")
+    out = run_cli("tutte", "--graph", G4, "--method", "activity",
+                  "--oracle", f"file:{deep}")
+    assert out.returncode == 1
+    assert _one_error_line(out) == \
+        f"error: {deep}: explicit trees are limited to 16 edges"
+    assert out.stdout == ""
+
+
 def test_cli_unparsable_map_names_its_path(tmp_path):
     bad = tmp_path / "bad.map"
     bad.write_text("halfedges 2\nsigma (a b)\nalpha (a b)\nroot z\n")
