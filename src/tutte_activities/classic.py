@@ -79,8 +79,7 @@ def _rank_of(order):
 def _require_order(g, order, tree_mask):
     if sorted(order) != sorted(g.edge_ids):
         raise ValueError("order must be a permutation of the edges")
-    if not gr.is_spanning_tree(g, tree_mask):
-        raise ValueError("edge set is not a spanning tree")
+    gr.require_spanning_tree(g, tree_mask)
 
 
 def ordering_active(g, order, tree_mask):
@@ -185,9 +184,7 @@ def tau(m: CombMap, forest_mask) -> int:
 
 def blossoming_internal_active(m: CombMap, tree_mask) -> int:
     """Internal edges whose removal is undone by the pruning walk."""
-    g = m.underlying_graph()
-    if not gr.is_spanning_tree(g, tree_mask):
-        raise ValueError("edge set is not a spanning tree")
+    gr.require_spanning_tree(m.underlying_graph(), tree_mask)
     result = 0
     for eid in gr.edge_ids(tree_mask):
         if tau(m, tree_mask & ~(1 << eid)) == tree_mask:
@@ -197,9 +194,7 @@ def blossoming_internal_active(m: CombMap, tree_mask) -> int:
 
 def blossoming_first_visit_order(m: CombMap, tree_mask):
     """Edge order of first visits in the pruning walk of the tree."""
-    g = m.underlying_graph()
-    if not gr.is_spanning_tree(g, tree_mask):
-        raise ValueError("edge set is not a spanning tree")
+    gr.require_spanning_tree(m.underlying_graph(), tree_mask)
     return prune_run(m, tree_mask).first_visit
 
 
@@ -221,8 +216,7 @@ def blossoming_subtree_charge(m: CombMap, tree_mask, eid) -> int:
     the component of tree - e not containing the root vertex.
     """
     g = m.underlying_graph()
-    if not gr.is_spanning_tree(g, tree_mask):
-        raise ValueError("edge set is not a spanning tree")
+    gr.require_spanning_tree(g, tree_mask)
     if not ((tree_mask >> eid) & 1):
         raise ValueError("edge is not internal")
     run = prune_run(m, tree_mask)

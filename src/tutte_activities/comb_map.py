@@ -15,7 +15,7 @@ could disconnect the map.
 from __future__ import annotations
 
 from .graph import (ISTHMUS, Graph, classify_edge, is_spanning_tree,
-                    read_tokens)
+                    read_int, read_tokens)
 
 
 def _cycles_of(perm):
@@ -335,7 +335,7 @@ def parse_map(text: str) -> CombMap:
         if key == "halfedges":
             if len(body) != 1:
                 raise ValueError(f"line {lineno}: expected 'halfedges 2m'")
-            halfedges = int(body[0])
+            halfedges = read_int(lineno, body[0])
         elif key == "sigma":
             sigma_cycles = _parse_cycles(body)
         elif key == "alpha":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph, read_tokens, spanning_trees
+from .graph import Graph, read_int, read_tokens, spanning_trees
 
 LEFT = "l"
 RIGHT = "r"
@@ -249,13 +249,14 @@ def check_tree_compatible(g: Graph, table):
 
 def parse_decision_tree(text):
     """Parse the s-expression format into a nested (label, left, right) tree."""
-    tokens = [tok for _, line in read_tokens(text) for tok in line]
+    tokens = [(lineno, tok) for lineno, line in read_tokens(text)
+              for tok in line]
     pos = 0
 
     def peek():
         if pos >= len(tokens):
             raise ValueError("unexpected end of tree")
-        return tokens[pos]
+        return tokens[pos][1]
 
     def parse_node(depth):
         nonlocal pos
@@ -266,7 +267,7 @@ def parse_decision_tree(text):
         pos += 1
         if peek() in "()":
             raise ValueError("expected node label")
-        label = int(tokens[pos])
+        label = read_int(*tokens[pos])
         pos += 1
         if peek() == ")":
             pos += 1

@@ -10,7 +10,8 @@ surviving edge: one union-find pass, seeded from the roots (`edge_kind`).
 Every pass starts from the identity list, and only a contraction changes
 it: `_contract` returns a new list with the two end classes merged.  A
 single pass rebinds its list; a walk pushes the contracted list with the
-right branch and keeps its own for the left one.
+right branch and keeps its own for the left one.  `tutte.tutte_delcon`
+steps its layers of minors with the same `edge_kind` and `_contract`.
 
 The typing pass visits the edges in the order dictated by the oracle.  The
 visited edge is classified in the current minor H: a standard external edge
@@ -102,11 +103,6 @@ def _visit(g, oracle, prefix, typed):
     return eid
 
 
-def _require_connected(g):
-    if not gr.is_connected(g):
-        raise ValueError("graph must be connected")
-
-
 def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
                 contract_isthmuses=False):
     """Visit every edge once and return [(edge_id, type), ...] in visit order.
@@ -115,7 +111,7 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
     toggle the optional removal of L-typed and I-typed edges from the minor;
     they never change the output, only the masks the pass carries.
     """
-    _require_connected(g)
+    gr.require_connected(g)
     roots = list(range(g.vertex_count))
     contracted = deleted = typed = 0
     prefix = ()
@@ -154,7 +150,7 @@ def decision_walk(g, oracle):
     reference cycle and lets go of the oracle once it is exhausted.  Every
     node's edge is asked for once and must be usable, as in `run_history`.
     """
-    _require_connected(g)
+    gr.require_connected(g)
     m = g.edge_count()
     # (prefix, roots, contracted, deleted, internal, external); the typed
     # edges are the union of the four masks.
@@ -187,7 +183,7 @@ def forest_walk(g, oracle):
     every other edge branches, out of the forest (left) or contracted (right).
     Only loops are told apart, so the roots alone type an edge.
     """
-    _require_connected(g)
+    gr.require_connected(g)
     ends = g._by_id
     m = g.edge_count()
     # (prefix, roots, contracted, typed, active)
@@ -232,8 +228,7 @@ def delta_activity(g, oracle, tree_mask):
 
     Internal actives are the type-I edges, external actives the type-L ones.
     """
-    if not gr.is_spanning_tree(g, tree_mask):
-        raise ValueError("edge set is not a spanning tree")
+    gr.require_spanning_tree(g, tree_mask)
     masks = type_masks(run_history(g, oracle, tree_mask))
     return masks[TYPE_I], masks[TYPE_L]
 
@@ -245,8 +240,7 @@ def internal_active_no_contract(g, oracle, tree_mask):
     non-isthmus edges; an edge joins the output when it is an isthmus of the
     current minor right after its step.
     """
-    if not gr.is_spanning_tree(g, tree_mask):
-        raise ValueError("edge set is not a spanning tree")
+    gr.require_spanning_tree(g, tree_mask)
     roots = list(range(g.vertex_count))
     deleted = typed = 0
     prefix = ()
@@ -273,7 +267,7 @@ def forest_active(g, oracle, subgraph_mask):
     non-loops are contracted and steer right.  For a spanning forest the
     output is its set of cycle-closing active external edges.
     """
-    _require_connected(g)
+    gr.require_connected(g)
     ends = g._by_id
     roots = list(range(g.vertex_count))
     typed = 0

@@ -7,8 +7,9 @@ subgraphs are identified with their edge sets, represented as plain int
 bitmasks (bit i set = edge i present).
 
 Every component question goes through one union-find, `class_roots`.  The
-typing passes in `engine` do not call it: they carry a minor's contracted
-classes as a root list and merge two classes per contraction.
+typing passes in `engine` and the layers of `tutte.tutte_delcon` do not call
+it: they carry a minor's contracted classes as a root list and merge two
+classes per contraction.
 
 The spanning trees and forests of a connected graph are the leaves of the
 walks in `engine`, which imports this module and so is imported late here.
@@ -180,6 +181,16 @@ def is_spanning_tree(g: Graph, mask: int) -> bool:
             and cc(g, mask) == 1)
 
 
+def require_connected(g: Graph):
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+
+
+def require_spanning_tree(g: Graph, mask: int):
+    if not is_spanning_tree(g, mask):
+        raise ValueError("edge set is not a spanning tree")
+
+
 # -- classification and minors ---------------------------------------------
 
 
@@ -316,6 +327,15 @@ def read_tokens(text: str):
             yield lineno, tokens
 
 
+def read_int(lineno: int, token: str) -> int:
+    """An integer field of line `lineno`; anything else names the line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(
+            f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def parse_graph(text: str) -> Graph:
     vertex_count = None
     edges = []
@@ -323,11 +343,11 @@ def parse_graph(text: str) -> Graph:
         if tokens[0] == "vertices":
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected 'vertices N'")
-            vertex_count = int(tokens[1])
+            vertex_count = read_int(lineno, tokens[1])
         elif tokens[0] == "edge":
             if len(tokens) != 4:
                 raise ValueError(f"line {lineno}: expected 'edge <id> <u> <v>'")
-            edges.append((int(tokens[1]), int(tokens[2]), int(tokens[3])))
+            edges.append(tuple(read_int(lineno, t) for t in tokens[1:]))
         else:
             raise ValueError(f"line {lineno}: unknown directive {tokens[0]!r}")
     if vertex_count is None:

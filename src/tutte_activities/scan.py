@@ -120,14 +120,16 @@ class ScanReport:
 
 def conjecture_scan(g, budget=2 ** 22) -> ScanReport:
     """Enumerate activities, keep lattice tilings, check the two findings."""
-    if not gr.is_connected(g):
-        raise ValueError("graph must be connected")
+    gr.require_connected(g)
     trees = gr.spanning_trees(g)
     m = g.edge_count()
-    candidate_count = (1 << m) ** len(trees)
+    exponent = m * len(trees)
+    candidate_count = 1 << exponent
     if candidate_count > budget:
+        # K6 has 2^19440 candidates: too many digits to read, or to print
+        count = candidate_count if exponent <= 64 else f"2^{exponent}"
         raise BudgetExceeded(
-            f"{candidate_count} candidate activities exceed budget {budget}")
+            f"{count} candidate activities exceed budget {budget}")
 
     full_mask = g.full_edge_set()
     # Bit i stands for the i-th subgraph, whatever the edge ids.

@@ -7,7 +7,8 @@ spanning trees, forests, connected subgraphs or all subgraphs.  Each route
 tallies the exponents of its terms and expands the tally once.  The
 deletion/contraction recursion runs one layer of minors per edge and merges
 equal minors, so its cost follows the number of distinct minors rather than
-the 2^m branches.
+the 2^m branches.  It holds its minors as the typing pass does, as root
+lists stepped by `engine.edge_kind` and `engine._contract`.
 
 The oracle's subgraph sums read one walk of the decision tree.  The
 subgraphs typed like the leaf (T, I, E) are those of [T - I, T + E]: each
@@ -28,7 +29,7 @@ from collections import Counter
 
 from . import graph as gr
 from .classic import order_map_oracle
-from .engine import decision_walk, forest_walk
+from .engine import _contract, decision_walk, edge_kind, forest_walk
 from .poly import BivariatePoly
 
 
@@ -42,8 +43,7 @@ def tutte_definitional(g) -> BivariatePoly:
     every edge: grid 3x4 (m = 17) takes 0.9 s on a 2-core Xeon VM, so
     m = 24 takes about two minutes there.
     """
-    if not gr.is_connected(g):
-        raise ValueError("graph must be connected")
+    gr.require_connected(g)
     if g.edge_count() > DEFINITIONAL_MAX_EDGES:
         raise ValueError(
             f"definitional is capped at {DEFINITIONAL_MAX_EDGES} edges "
@@ -59,40 +59,61 @@ def tutte_delcon(g) -> BivariatePoly:
     """Deletion/contraction, one layer of merged minors per edge.
 
     The edges are taken in one pivot order read off the graph (see
-    `_pivot_order`), so every minor of layer k has the same remaining edges.
-    A minor is keyed by their endpoints in that order, vertices relabelled
-    by first appearance; each key holds a tally of the (isthmuses, loops)
-    pairs reaching it.  Every minor stays connected, so its key alone fixes
-    the rest of the sum and equal keys merge by adding their tallies.
+    `_pivot_order`), so the minors of layer k have all lost the same first
+    k edges, one `gone` mask.  A minor is held like the typing pass's: a
+    root list of its contracted classes, stepped by `engine.edge_kind` and
+    `engine._contract`, with a tally of the (isthmuses, loops) pairs
+    reaching it.  It is keyed by the classes of its frontier, the vertices
+    touched by both a taken and a later edge, numbered by first appearance;
+    any other vertex a later edge touches is still a class of its own.
+    Every minor stays connected, so its key alone fixes the rest of the
+    sum: equal keys merge by adding their tallies and keep the first root
+    list, whose other vertices no later edge reads.
+
+    Delcon and the walk routes thus share `edge_kind` and `_contract`.  The
+    independent references are `tutte_definitional` (through
+    `graph.class_roots`), the tests' recursion on rebuilt `Graph` minors
+    (through `graph.classify_edge`), the matrix-tree count and
+    T(2,2) = 2^m, and networkx.
     """
-    if not gr.is_connected(g):
-        raise ValueError("graph must be connected")
-    ends = []
-    for _, u, v in _pivot_order(g):
-        ends += (u, v)
-    layer = {_relabel(ends): Counter({(0, 0): 1})}
-    for _ in range(g.edge_count()):
+    gr.require_connected(g)
+    order = [eid for eid, _, _ in _pivot_order(g)]
+    last = [-1] * g.vertex_count  # the last layer that touches a vertex
+    for k, eid in enumerate(order):
+        u, v = g._by_id[eid]
+        last[u] = last[v] = k
+    layer = {(): (list(range(g.vertex_count)), Counter({(0, 0): 1}))}
+    frontier = []
+    gone = 0
+    for k, eid in enumerate(order):
+        frontier = [w for w in dict.fromkeys(frontier + list(g._by_id[eid]))
+                    if last[w] > k]
         nxt = {}
-        for key, tally in layer.items():
-            rest = key[2:]  # the key's first edge is (0, 0) or (0, 1)
-            if key[1] == 0:  # a loop is only deleted
-                moves = ((_relabel(rest), 0, 1),)
-            elif _is_isthmus(key):  # an isthmus is only contracted
-                moves = ((_relabel(rest, True), 1, 0),)
+        for roots, tally in layer.values():
+            kind = edge_kind(g, roots, gone, eid)
+            if kind == gr.LOOP:  # a loop is only deleted
+                moves = ((roots, 0, 1),)
+            elif kind == gr.ISTHMUS:  # an isthmus is only contracted
+                moves = ((_contract(g, roots, eid), 1, 0),)
             else:
-                moves = ((_relabel(rest), 0, 0), (_relabel(rest, True), 0, 0))
+                moves = ((roots, 0, 0), (_contract(g, roots, eid), 0, 0))
             for child, di, dl in moves:
                 part = tally
                 if di or dl:
                     part = Counter({(i + di, j + dl): c
                                     for (i, j), c in tally.items()})
-                into = nxt.get(child)
+                names = {}
+                key = tuple([names.setdefault(child[w], len(names))
+                             for w in frontier])
+                into = nxt.get(key)
                 if into is not None:
-                    into.update(part)
+                    into[1].update(part)
                 else:  # a standard edge hands its tally to two children
-                    nxt[child] = part.copy() if part is tally else part
+                    nxt[key] = (child, part.copy() if part is tally else part)
+        gone |= 1 << eid
         layer = nxt
-    return BivariatePoly(layer[()])
+    (_, tally), = layer.values()
+    return BivariatePoly(tally)
 
 
 def _pivot_order(g):
@@ -123,46 +144,6 @@ def _pivot_order(g):
         a, b = sorted((rank[u], rank[v]))
         return b, a, eid
     return sorted(g.edges, key=place)
-
-
-def _relabel(ends, merge=False):
-    """The endpoint list with vertices renamed 0, 1, ... by first appearance.
-
-    With `merge`, vertices 0 and 1 become one: the contraction of a key's
-    first edge.
-    """
-    names = {}
-    count = 0
-    for w in dict.fromkeys(ends):
-        if merge and w < 2 and 1 - w in names:
-            names[w] = names[1 - w]
-        else:
-            names[w] = count
-            count += 1
-    return tuple(map(names.__getitem__, ends))
-
-
-def _is_isthmus(key):
-    """Whether no other edge of the key joins its first edge's endpoints.
-
-    One union-find over the other edges, with path halving.  It stays
-    inline rather than calling `graph.class_roots`: the keys are delcon's
-    relabelled endpoint tuples, not a `Graph`.
-    """
-    parent = list(range(max(key) + 1))
-    for k in range(2, len(key), 2):
-        a, b = key[k], key[k + 1]
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        parent[b] = a
-    a, b = key[0], key[1]
-    while parent[a] != a:
-        a = parent[a]
-    while parent[b] != b:
-        b = parent[b]
-    return a != b
 
 
 def tutte_activity(g, activity) -> BivariatePoly:

@@ -1,6 +1,7 @@
 import pathlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -79,6 +80,12 @@ def grid(rows, cols):
     ends = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
     ends += [(v, v + cols) for v in range((rows - 1) * cols)]
     return gr.Graph(rows * cols, [(i, u, v) for i, (u, v) in enumerate(ends)])
+
+
+def complete(n):
+    """The complete graph on n vertices, ids 0..m-1."""
+    return gr.Graph(n, [(i, u, v) for i, (u, v)
+                        in enumerate(combinations(range(n), 2))])
 
 
 def permuted(g, seed):

@@ -221,6 +221,7 @@ LOOP_LINES = ["halfedges 2", "sigma (a b)", "alpha (a b)", "root a"]
     (2, "alpha (a b))", "unbalanced parenthesis in cycle notation"),
     (0, "halfedges", "line 1: expected 'halfedges 2m'"),
     (0, "halfedges 2 sigma (a b)", "line 1: expected 'halfedges 2m'"),
+    (0, "halfedges two", "line 1: expected an integer, got 'two'"),
 ])
 def test_map_parser_messages(line, replacement, message):
     lines = list(LOOP_LINES)

@@ -273,6 +273,7 @@ def test_sexpr_rejects_malformed():
             ("(0) (1)", "trailing tokens after tree"),
             ("(0 ())", "expected node label"),
             ("(0 (1) (1) (1))", "expected ')'"),
+            ("(0\n  (1)\n  (x))", "line 3: expected an integer, got 'x'"),
             (deep, "explicit trees are limited to 16 edges")]:
         with pytest.raises(ValueError) as exc:
             parse_decision_tree(text)

@@ -246,7 +246,11 @@ def test_parser_reports_line_numbers():
             ("# two vertices\nvertices 2 3\n",
              "line 2: expected 'vertices N'"),
             ("vertices 2\n\nvertex 3\n",
-             "line 3: unknown directive 'vertex'")]:
+             "line 3: unknown directive 'vertex'"),
+            ("vertices three\n",
+             "line 1: expected an integer, got 'three'"),
+            ("vertices 2\n# an edge\nedge 1 1 x\n",
+             "line 3: expected an integer, got 'x'")]:
         with pytest.raises(ValueError) as exc:
             gr.parse_graph(text)
         assert str(exc.value) == message

@@ -8,8 +8,8 @@ from tutte_activities import graph as gr
 from tutte_activities import classic, cli, harness
 from tutte_activities.harness import (canonical_form, connected_multigraphs,
                                       crosscheck)
-from conftest import (FIXTURES, ROOT, fixture_graph, fixture_map, graph_path,
-                      grid, map_path, permuted)
+from conftest import (FIXTURES, ROOT, complete, fixture_graph, fixture_map,
+                      graph_path, grid, map_path, permuted)
 
 TREE_FILE = FIXTURES / "trees" / "parallel_triangle.tree"
 
@@ -323,6 +323,10 @@ def test_cli_parse_error_has_line_number(tmp_path):
     out = run_cli("tutte", "--graph", str(bad))
     assert out.returncode != 0
     assert "line 2" in out.stderr
+    bad.write_text("vertices 2\nedge 0 0 x\n")
+    out = run_cli("tutte", "--graph", str(bad))
+    assert _one_error_line(out) == \
+        f"error: {bad}: line 2: expected an integer, got 'x'"
 
 
 def _one_error_line(out):
@@ -333,11 +337,16 @@ def _one_error_line(out):
     return lines[0]
 
 
-def test_cli_conjecture_scan_over_budget():
+def test_cli_conjecture_scan_over_budget(tmp_path):
     out = run_cli("conjecture-scan", "--graph", G4, "--budget", "10")
     assert _one_error_line(out) == \
         "error: 1048576 candidate activities exceed budget 10"
     assert out.stdout == ""
+    k6 = tmp_path / "k6.graph"  # 1,296 trees of 15 edges
+    gr.save_graph(complete(6), k6)
+    out = run_cli("conjecture-scan", "--graph", str(k6))
+    assert _one_error_line(out) == \
+        "error: 2^19440 candidate activities exceed budget 4194304"
 
 
 def test_cli_definitional_over_its_cap(tmp_path):

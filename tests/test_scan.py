@@ -3,7 +3,7 @@ import pytest
 from tutte_activities import graph as gr
 from tutte_activities.scan import (BudgetExceeded, _enumerate_decision_functions,
                                    conjecture_scan, decision_tree_activities)
-from conftest import fixture_graph, mask_of
+from conftest import complete, fixture_graph, mask_of
 
 
 def test_single_isthmus_scan():
@@ -43,6 +43,10 @@ def test_two_parallel_scan():
 def test_budget_guard(g4):
     with pytest.raises(BudgetExceeded):
         conjecture_scan(g4, budget=1000)
+    # 1,296 trees of 15 edges: the count is named by its exponent
+    with pytest.raises(BudgetExceeded,
+                       match=r"^2\^19440 candidate activities exceed budget"):
+        conjecture_scan(complete(6))
 
 
 def test_decision_function_enumeration_counts():

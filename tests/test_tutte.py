@@ -1,7 +1,7 @@
 import gc
+import random
 import weakref
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -15,7 +15,7 @@ from tutte_activities.tutte import (DEFINITIONAL_MAX_EDGES, tutte_activity,
                                     tutte_connected, tutte_definitional, tutte_delcon,
                                     tutte_delta, tutte_dfs, tutte_forest,
                                     tutte_forest_activity, tutte_half)
-from conftest import fixture_graph, grid, kirchhoff_count, permuted
+from conftest import complete, fixture_graph, grid, kirchhoff_count, permuted
 
 GOLDEN_G4 = "x^2 + x*y + x + y^2 + y"
 
@@ -64,20 +64,21 @@ def _delcon_reference(g):
     return BivariatePoly(tally)
 
 
-def _complete(n):
-    return gr.Graph(n, [(i, u, v) for i, (u, v)
-                        in enumerate(combinations(range(n), 2))])
-
-
 def test_delcon_equals_the_rebuilt_minor_recursion(corpus):
+    rng = random.Random(1)
     for seed, g in enumerate(corpus):
         h = permuted(g, seed)
         assert tutte_delcon(h) == _delcon_reference(h), h
+        m = g.edge_count()  # ids moved to distinct values in m..4m-1
+        ids = rng.sample(range(m, 4 * m), m)
+        moved = gr.Graph(g.vertex_count, [(ids[i], u, v) for i, (_, u, v)
+                                          in enumerate(g.edges)])
+        assert tutte_delcon(moved) == _delcon_reference(moved), moved
     for g in connected_multigraphs(4):
         assert tutte_delcon(g) == _delcon_reference(g), g
 
 
-@pytest.mark.parametrize("g", [grid(5, 5), _complete(8)],
+@pytest.mark.parametrize("g", [grid(5, 5), complete(8)],
                          ids=["grid5x5", "K8"])
 def test_delcon_on_larger_graphs_meets_the_independent_counts(g):
     h = permuted(g, 1)
@@ -211,7 +212,7 @@ def test_dfs_route_rejects_multigraph(g4):
 
 
 INDEPENDENT = {
-    "K5": _complete(5),
+    "K5": complete(5),
     "grid3x3": grid(3, 3),
     "loop_and_parallel": gr.Graph(5, [
         (0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 4, 0),
