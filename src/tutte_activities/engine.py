@@ -26,9 +26,16 @@ mask of the edges it has typed, which are the answers on the node's path
 (`_visit`); an oracle keeps no record of the paths it answered.
 
 `decision_walk` walks the decision tree itself, querying the oracle once per
-node.  It branches only at standard edges, where deletion and contraction
-both lead on; loops and isthmuses have one way forward.  Its leaves are
-exactly the spanning trees, and the path to a leaf is that tree's history.
+node above a forced tail.  It branches only at standard edges, where
+deletion and contraction both lead on; loops and isthmuses have one way
+forward.  Its leaves are exactly the spanning trees, and the path to a leaf
+is that tree's history.  Once every untyped edge of a branch is a loop or an
+isthmus, the rest of its path types them L and I in any order, and the
+walk reads the leaf off without asking.  Its queries are thus an
+ancestor-closed subset of the nodes, asked in the same relative order as a
+walk to the bottom would ask them, and each answer is still checked by
+`_visit`; an oracle that is wrong only below a forced node is caught by
+`run_history`, which asks every node of its path, and not by the walk.
 `forest_walk` is its never-deleting twin: it branches at every non-loop, so
 its leaves are the spanning forests, each with its `forest_active` set.
 
@@ -148,31 +155,56 @@ def decision_walk(g, oracle):
 
     The walk keeps its open branches on an explicit stack, so it holds no
     reference cycle and lets go of the oracle once it is exhausted.  Every
-    node's edge is asked for once and must be usable, as in `run_history`.
+    node above a forced tail is asked for once and its edge must be usable,
+    as in `run_history`.
+
+    Each branch carries `slack`, the cyclomatic number of the minor's
+    loopless part.  Deleting a standard edge lowers it by one; contracting
+    one lowers it by the number of untyped edges that turn into loops; a
+    typed loop or isthmus stays in the minor and leaves it as it is.  At
+    zero every untyped edge is a loop or an isthmus, and typing one changes
+    no other edge's kind, so the leaf is read off the roots without asking.
     """
     gr.require_connected(g)
-    m = g.edge_count()
-    # (prefix, roots, contracted, deleted, internal, external); the typed
-    # edges are the union of the four masks.
-    stack = [((), list(range(g.vertex_count)), 0, 0, 0, 0)]
+    edges = [(1 << f, a, b) for f, a, b in g.edges]
+    slack = sum(a != b for _, a, b in edges) - g.vertex_count + 1
+    # (prefix, roots, contracted, deleted, internal, external, slack); the
+    # typed edges are the union of the four masks.
+    stack = [((), list(range(g.vertex_count)), 0, 0, 0, 0, slack)]
     while stack:
-        prefix, roots, contracted, deleted, internal, external = stack.pop()
-        while len(prefix) < m:
+        (prefix, roots, contracted, deleted, internal, external,
+         slack) = stack.pop()
+        while slack:
             typed = contracted | deleted | internal | external
             eid = _visit(g, oracle, prefix, typed)
             bit = 1 << eid
             kind = edge_kind(g, roots, contracted | deleted, eid)
             if kind == gr.STANDARD:
-                stack.append((prefix + (RIGHT,), _contract(g, roots, eid),
-                              contracted | bit, deleted, internal, external))
+                merged = _contract(g, roots, eid)
+                typed |= bit
+                looped = 0
+                for fbit, a, b in edges:
+                    if (merged[a] == merged[b] and roots[a] != roots[b]
+                            and not typed & fbit):
+                        looped += 1
+                stack.append((prefix + (RIGHT,), merged, contracted | bit,
+                              deleted, internal, external, slack - looped))
                 deleted |= bit
                 prefix += (LEFT,)
+                slack -= 1
             elif kind == gr.LOOP:
                 external |= bit
                 prefix += (LEFT,)
             else:  # isthmus
                 internal |= bit
                 prefix += (RIGHT,)
+        typed = contracted | deleted | internal | external
+        for bit, a, b in edges:
+            if not typed & bit:
+                if roots[a] == roots[b]:
+                    external |= bit
+                else:
+                    internal |= bit
         yield contracted | internal, internal, external
 
 

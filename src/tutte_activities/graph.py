@@ -148,9 +148,10 @@ def class_roots(g: Graph, mask: int) -> list:
             while roots[v] != v:
                 roots[v] = v = roots[roots[v]]
             roots[u] = v
-    for w, r in enumerate(roots):
+    for w in range(len(roots)):
+        r = w
         while roots[r] != r:
-            r = roots[r]
+            roots[r] = r = roots[roots[r]]
         roots[w] = r
     return roots
 

@@ -368,7 +368,7 @@ def _table_graphs():
 
 
 def _asked_in_walk_order(walk, g, oracle):
-    """(prefix, answer) for every node of the walk, in the order asked."""
+    """(prefix, answer) for every node the walk asks, in the order asked."""
     asked = []
 
     class Recording:

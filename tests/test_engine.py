@@ -334,7 +334,7 @@ def test_forest_walk_leaves_are_the_spanning_forests_with_their_actives(
                 assert active == forest_active(g, oracle, f), (g, name, f)
 
 
-def _rebuilt_leaves(g, oracle, forests=False):
+def _rebuilt_walk(g, oracle, forests=False):
     """The leaves of `decision_walk` or `forest_walk`, on rebuilt minors.
 
     Every node builds its minor with `gr.delete`/`gr.contract` and types
@@ -342,15 +342,24 @@ def _rebuilt_leaves(g, oracle, forests=False):
     The tree walk deletes its loops and contracts its isthmuses, which
     types every edge alike; the forest walk keeps a non-forest edge and
     branches at every non-loop.
+
+    Returns the leaves in left-first order and, for the tree walk, the
+    nodes in that order at which some untyped edge is standard: the tree
+    walk's minor here holds only the untyped edges, and below the other
+    nodes every edge left is typed L or I whatever the order.
     """
     m = g.edge_count()
     leaves = []
+    unforced = []
 
     def rec(h, prefix, inside, internal, external):
         if len(prefix) == m:
             leaves.append((inside, external) if forests
                           else (inside, internal, external))
             return
+        if not forests and any(gr.classify_edge(h, e) == gr.STANDARD
+                               for e in h.edge_ids):
+            unforced.append(prefix)
         eid = oracle.next_edge(prefix)
         bit = 1 << eid
         kind = gr.classify_edge(h, eid)
@@ -367,19 +376,58 @@ def _rebuilt_leaves(g, oracle, forests=False):
                 internal, external)
 
     rec(g, (), 0, 0, 0)
-    return sorted(leaves)
+    return leaves, unforced
+
+
+def _rebuilt_sample(corpus):
+    rng = random.Random(12)
+    return connected_multigraphs(4) + [
+        permuted(g, seed) for seed, g in enumerate(rng.sample(corpus, 60))]
 
 
 def test_walks_match_the_rebuilt_minor_walk(corpus):
-    rng = random.Random(12)
-    graphs = connected_multigraphs(4) + [
-        permuted(g, seed) for seed, g in enumerate(rng.sample(corpus, 60))]
-    for g in graphs:
+    for g in _rebuilt_sample(corpus):
         for name, oracle in _corpus_oracles(g):
-            assert sorted(decision_walk(g, oracle)) == \
-                _rebuilt_leaves(g, oracle), (g, name)
+            # the tree walk's leaves come in left-first order, unsorted
+            assert list(decision_walk(g, oracle)) == \
+                _rebuilt_walk(g, oracle)[0], (g, name)
             assert sorted(forest_walk(g, oracle)) == \
-                _rebuilt_leaves(g, oracle, forests=True), (g, name)
+                sorted(_rebuilt_walk(g, oracle, forests=True)[0]), (g, name)
+
+
+class _Recording:
+    """Forwards every query and records its prefix."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.asked = []
+
+    def next_edge(self, prefix, used=None):
+        self.asked.append(prefix)
+        return self.oracle.next_edge(prefix, used)
+
+
+def test_walk_asks_exactly_the_nodes_with_a_standard_untyped_edge(corpus):
+    # in left-first order, each once; nothing below a forced node
+    for g in _rebuilt_sample(corpus):
+        for name, oracle in _corpus_oracles(g):
+            recording = _Recording(oracle)
+            list(decision_walk(g, recording))
+            assert recording.asked == _rebuilt_walk(g, oracle)[1], (g, name)
+
+
+def test_walk_of_a_tree_with_loops_asks_nothing():
+    path = gr.Graph(4, [(5, 0, 1), (7, 1, 1), (9, 1, 2), (11, 2, 3),
+                        (13, 3, 3), (15, 0, 0)])
+
+    class Silent:
+        def next_edge(self, prefix, used=None):
+            raise AssertionError(f"asked at {prefix}")
+
+    tree = (1 << 5) | (1 << 9) | (1 << 11)
+    loops = (1 << 7) | (1 << 13) | (1 << 15)
+    assert list(decision_walk(path, Silent())) == [(tree, tree, loops)]
+    assert list(decision_walk(gr.Graph(1, []), Silent())) == [(0, 0, 0)]
 
 
 def test_walk_asks_each_node_once(g4, d4):

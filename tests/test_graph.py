@@ -105,6 +105,19 @@ def test_class_roots_match_bfs_components(corpus):
             else:
                 want = gr.STANDARD
             assert gr.classify_edge(g, eid) == want, (g, eid)
+    # a 4,400-edge path listed end to end links one long chain of roots;
+    # its components are pinned, since a BFS per vertex is too slow here
+    n = 4400
+    path = gr.Graph(n + 1, [(i, i, i + 1) for i in range(n)])
+    full = path.full_edge_set()
+    for mask, pieces in (
+            (full, [range(n + 1)]),
+            (full & ~(1 << 999) & ~(1 << 2999),
+             [range(1000), range(1000, 3000), range(3000, n + 1)])):
+        roots = gr.class_roots(path, mask)
+        assert all(roots[r] == r for r in roots)
+        assert all(len({roots[w] for w in piece}) == 1 for piece in pieces)
+        assert gr.cc(path, mask) == len(pieces)
 
 
 def test_spanning_trees_goldens(g4):
