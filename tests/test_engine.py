@@ -434,14 +434,9 @@ def test_walk_asks_each_node_once(g4, d4):
     # five trees and ten forests; every path shares its nodes up to the
     # branch point
     for walk, leaves in ((decision_walk, 5), (forest_walk, 10)):
-        asked = []
-
-        class Counting:
-            def next_edge(self, prefix, used=None):
-                asked.append(prefix)
-                return d4.next_edge(prefix)
-
-        walked = list(walk(g4, Counting()))
+        recording = _Recording(d4)
+        walked = list(walk(g4, recording))
+        asked = recording.asked
         assert len(asked) == len(set(asked)), walk
         assert len(walked) == leaves, walk
         assert len(asked) < leaves * g4.edge_count(), walk
