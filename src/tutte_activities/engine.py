@@ -10,8 +10,10 @@ surviving edge: one union-find pass, seeded from the roots (`edge_kind`).
 Every pass starts from the identity list, and only a contraction changes
 it: `_contract` returns a new list with the two end classes merged.  A
 single pass rebinds its list; a walk pushes the contracted list with the
-right branch and keeps its own for the left one.  `tutte.tutte_delcon`
-steps its layers of minors with the same `edge_kind` and `_contract`.
+right branch and keeps its own for the left one.  The layered pass of
+`tutte` steps its layers of minors with the same `edge_kind` and
+`_contract`; it runs `tutte_delcon` and the activity route of a
+`LinearOrderOracle`, whose walk it replaces.
 
 The typing pass visits the edges in the order dictated by the oracle.  The
 visited edge is classified in the current minor H: a standard external edge

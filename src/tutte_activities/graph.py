@@ -7,9 +7,10 @@ subgraphs are identified with their edge sets, represented as plain int
 bitmasks (bit i set = edge i present).
 
 Every component question goes through one union-find, `class_roots`.  The
-typing passes in `engine` and the layers of `tutte.tutte_delcon` do not call
-it: they carry a minor's contracted classes as a root list and merge two
-classes per contraction.
+typing passes in `engine` and the layered pass of `tutte` (`delcon` and the
+linear activity route) do not call it: they carry a minor's contracted
+classes as a root list and merge two classes per contraction.  A graph keeps
+the answer of `is_connected`, the guard of every route, once it is known.
 
 The spanning trees and forests of a connected graph are the leaves of the
 walks in `engine`, which imports this module and so is imported late here.
@@ -29,7 +30,7 @@ class Graph:
     loop.  Freshly built graphs use ids 0..m-1; minors keep original ids.
     """
 
-    __slots__ = ("vertex_count", "edges", "_by_id")
+    __slots__ = ("vertex_count", "edges", "_by_id", "_connected")
 
     def __init__(self, vertex_count, edges):
         if vertex_count <= 0:
@@ -170,7 +171,12 @@ def cycl(g: Graph, mask: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    return cc(g, g.full_edge_set()) == 1
+    """Whether g is connected, worked out on the first call and kept on g."""
+    known = getattr(g, "_connected", None)  # the slot is unset until then
+    if known is None:
+        known = cc(g, g.full_edge_set()) == 1
+        object.__setattr__(g, "_connected", known)
+    return known
 
 
 def is_forest(g: Graph, mask: int) -> bool:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -144,6 +146,16 @@ def test_spanning_forests_reject_disconnected():
     g = gr.Graph(3, [(0, 0, 1)])
     with pytest.raises(ValueError):
         gr.spanning_forests(g)
+
+
+def test_connectivity_is_kept_and_survives_copy_and_pickle():
+    for g, connected in ((gr.Graph(3, [(0, 0, 1), (1, 1, 2)]), True),
+                         (gr.Graph(3, [(0, 0, 1), (1, 2, 2)]), False)):
+        assert gr.is_connected(g) is connected  # worked out
+        assert gr.is_connected(g) is connected  # read back
+        for again in (copy.copy(g), copy.deepcopy(g),
+                      pickle.loads(pickle.dumps(g))):
+            assert again == g and gr.is_connected(again) is connected
 
 
 def small_multigraphs_with_permuted_ids():

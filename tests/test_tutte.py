@@ -7,14 +7,17 @@ import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities.classic import embedding_active, ordering_active
-from tutte_activities.decision import from_linear_order, random_oracle
-from tutte_activities.engine import delta_activity, run_history, type_masks
+from tutte_activities.decision import (LinearOrderOracle, from_linear_order,
+                                      random_oracle)
+from tutte_activities.engine import (decision_walk, delta_activity,
+                                     forest_walk, run_history, type_masks)
 from tutte_activities.harness import connected_multigraphs
 from tutte_activities.poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
 from tutte_activities.tutte import (DEFINITIONAL_MAX_EDGES, tutte_activity,
                                     tutte_connected, tutte_definitional, tutte_delcon,
                                     tutte_delta, tutte_dfs, tutte_forest,
-                                    tutte_forest_activity, tutte_half)
+                                    tutte_forest_activity, tutte_half,
+                                    _pivot_order)
 from conftest import complete, fixture_graph, grid, kirchhoff_count, permuted
 
 GOLDEN_G4 = "x^2 + x*y + x + y^2 + y"
@@ -62,6 +65,159 @@ def _delcon_reference(g):
 
     rec(g, 0, 0)
     return BivariatePoly(tally)
+
+
+def _frontier_subgraph_sum(g, order):
+    """Sum (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)) over edge sets A, merged.
+
+    The edges are taken in `order`; after k of them a state is the
+    partition of the frontier (vertices touched by both a taken and a later
+    edge) by the components of A, classes numbered by first appearance.
+    Each state tallies the (rank, |A|) pairs reaching it, packed into one
+    int, slot rank + n |A|, m + 1 bits a slot: at most 2^m sets share one.
+    Taking an edge raises the rank only when its ends lie in different
+    classes.  No minor is kept and no edge is told loop or isthmus.
+    """
+    n, m = g.vertex_count, g.edge_count()
+    last = [-1] * n
+    for k, eid in enumerate(order):
+        u, v = g.endpoints(eid)
+        last[u] = last[v] = k
+    width = m + 1
+    layer = {(): 1}
+    frontier = []
+    for k, eid in enumerate(order):
+        u, v = g.endpoints(eid)
+        grown = frontier + [w for w in dict.fromkeys((u, v))
+                            if w not in frontier]
+        keep = [i for i, w in enumerate(grown) if last[w] > k]
+        iu, iv = grown.index(u), grown.index(v)
+        nxt = {}
+        for classes, tally in layer.items():
+            classes += tuple(range(len(classes), len(grown)))  # new singletons
+            a, b = classes[iu], classes[iv]
+            if a == b:
+                taken = (classes, tally << width * n)
+            else:
+                taken = (tuple(a if c == b else c for c in classes),
+                         tally << width * (n + 1))
+            for part, t in ((classes, tally), taken):
+                names = {}
+                key = tuple(names.setdefault(part[i], len(names)) for i in keep)
+                nxt[key] = nxt.get(key, 0) + t
+        frontier = [grown[i] for i in keep]
+        layer = nxt
+    (packed,) = layer.values()
+    tally = {}
+    slot = 0
+    while packed:
+        count = packed & ((1 << width) - 1)
+        if count:
+            rank, size = slot % n, slot // n
+            tally[n - 1 - rank, size - rank] = count
+        packed >>= width
+        slot += 1
+    return BivariatePoly(tally).substitute_shift(-1, -1)
+
+
+def _random_multigraph(rng):
+    """A connected multigraph with loops, n <= 9, 25 <= m <= 60, sparse ids."""
+    n, m = rng.randint(5, 9), rng.randint(25, 60)
+    ids = rng.sample(range(4 * m), m)
+    while True:
+        g = gr.Graph(n, [(ids[i], rng.randrange(n), rng.randrange(n))
+                         for i in range(m)])
+        if gr.is_connected(g):
+            return g
+
+
+def test_frontier_subgraph_sum_past_the_definitional_cap():
+    # delcon and the linear route are one pass; this reference shares only
+    # the pivot order with it.  The linear oracle visits its order
+    # backwards, so it gets the reversed pivot order.
+    rng = random.Random(5)
+    graphs = [permuted(grid(5, 5), 1), permuted(grid(6, 6), 2)]
+    graphs += [_random_multigraph(rng) for _ in range(10)]
+    for g in graphs:
+        assert g.edge_count() > DEFINITIONAL_MAX_EDGES
+        order = [eid for eid, _, _ in _pivot_order(g)]
+        reference = _frontier_subgraph_sum(g, order)
+        assert tutte_delcon(g) == reference, g
+        assert tutte_delta(g, from_linear_order(order[::-1])) == reference, g
+
+
+def test_frontier_subgraph_sum_on_small_graphs(g4):
+    assert str(_frontier_subgraph_sum(g4, [3, 0, 2, 1])) == GOLDEN_G4
+    for g in connected_multigraphs(4):
+        assert _frontier_subgraph_sum(g, g.edge_ids) == tutte_definitional(g)
+
+
+def _walk_leaf_sum(g, oracle):
+    return BivariatePoly(Counter((gr.popcount(internal), gr.popcount(external))
+                                 for _, internal, external
+                                 in decision_walk(g, oracle)))
+
+
+def _moved_ids(g, rng):
+    """The graph with its ids moved to distinct values in m..4m-1."""
+    m = g.edge_count()
+    ids = rng.sample(range(m, 4 * m), m)
+    return gr.Graph(g.vertex_count, [(ids[i], u, v) for i, (_, u, v)
+                                      in enumerate(g.edges)])
+
+
+def test_linear_route_is_the_walks_leaf_sum(corpus):
+    rng = random.Random(3)
+    graphs = corpus + connected_multigraphs(4)
+    for g in graphs + [_moved_ids(g, rng) for g in graphs]:
+        ids = list(g.edge_ids)
+        orders = [ids, ids[::-1]]
+        for seed in range(3):
+            orders.append(random.Random(seed).sample(ids, len(ids)))
+        for order in orders:
+            oracle = from_linear_order(order)
+            assert tutte_delta(g, oracle) == _walk_leaf_sum(g, oracle), \
+                (g, order)
+
+
+def test_linear_route_rejects_an_order_that_is_not_the_edges():
+    triangle = gr.Graph(3, [(0, 0, 1), (1, 1, 2), (2, 2, 0)])
+    path = gr.Graph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 3)])
+    for g in (triangle, path):  # the path's walk would ask nothing
+        with pytest.raises(ValueError, match="unusable edge 9"):
+            tutte_delta(g, from_linear_order([0, 1, 9]))
+        with pytest.raises(ValueError, match="permutation"):
+            tutte_delta(g, from_linear_order([0, 1]))
+
+
+def test_a_linear_oracle_subclass_is_walked(g4):
+    class Recording(LinearOrderOracle):
+        def next_edge(self, prefix, used=None):
+            self.asked.append(tuple(prefix))
+            return super().next_edge(prefix, used)
+
+    oracle = Recording([0, 1, 2, 3])
+    oracle.asked = []
+    assert str(tutte_delta(g4, oracle)) == GOLDEN_G4
+    assert oracle.asked[0] == ()
+    assert len(oracle.asked) == len(set(oracle.asked)) > 1
+
+
+def test_every_route_refuses_a_disconnected_graph():
+    g = gr.Graph(3, [(0, 0, 1), (1, 2, 2)])
+    linear = from_linear_order([0, 1])
+    calls = [lambda: tutte_definitional(g), lambda: tutte_delcon(g),
+             lambda: tutte_dfs(g), lambda: run_history(g, linear, 0),
+             lambda: list(decision_walk(g, linear)),
+             lambda: list(forest_walk(g, linear))]
+    for oracle in (linear, random_oracle(g, 0)):
+        for route in (tutte_delta, tutte_forest, tutte_connected, tutte_half,
+                      tutte_forest_activity):
+            calls.append(lambda route=route, oracle=oracle: route(g, oracle))
+    for _ in range(2):  # the second time from the kept answer
+        for call in calls:
+            with pytest.raises(ValueError, match="graph must be connected"):
+                call()
 
 
 def test_delcon_equals_the_rebuilt_minor_recursion(corpus):
