@@ -300,8 +300,10 @@ def mirror(m: CombMap) -> CombMap:
 #   alpha (a a')(b b')(c c')(d d')
 #   root a
 #
-# Half-edge names get ids in order of first appearance in the sigma line;
-# singleton cycles must be written explicitly.
+# Half-edges named exactly 0 to 2m-1, as `format_map` writes a map built
+# without names, get those ids, so the map and its edge ids survive a save
+# and load.  Any other names get ids in order of first appearance in the
+# sigma line.  Singleton cycles must be written explicitly.
 
 
 def _parse_cycles(tokens):
@@ -354,6 +356,8 @@ def parse_map(text: str) -> CombMap:
                 ids[name] = len(ids)
     if len(ids) != halfedges:
         raise ValueError(f"declared {halfedges} half-edges, found {len(ids)}")
+    if set(ids) == {str(h) for h in range(halfedges)}:  # format_map's own
+        ids = {name: int(name) for name in ids}
 
     def perm_from(cycles):
         perm = list(range(halfedges))

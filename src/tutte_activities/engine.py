@@ -10,10 +10,7 @@ surviving edge: one union-find pass, seeded from the roots (`edge_kind`).
 Every pass starts from the identity list, and only a contraction changes
 it: `_contract` returns a new list with the two end classes merged.  A
 single pass rebinds its list; a walk pushes the contracted list with the
-right branch and keeps its own for the left one.  The layered pass of
-`tutte` steps its layers of minors with the same `edge_kind` and
-`_contract`; it runs `tutte_delcon` and the activity route of a
-`LinearOrderOracle`, whose walk it replaces.
+right branch and keeps its own for the left one.
 
 The typing pass visits the edges in the order dictated by the oracle.  The
 visited edge is classified in the current minor H: a standard external edge
@@ -41,6 +38,11 @@ walk to the bottom would ask them, and each answer is still checked by
 `forest_walk` is its never-deleting twin: it branches at every non-loop, so
 its leaves are the spanning forests, each with its `forest_active` set.
 
+`layered_pass` is deletion/contraction in one visit order (the frontier
+states of Haggard, Pearce and Royle): one layer of the walk's minors per
+edge, equal minors merged, so its cost follows the distinct minors, not the
+2^m branches.  `tutte_delcon` and the linear route of `tutte_delta` run it.
+
 Types use the four tags Se (standard external), L (loop at visit), Si
 (standard internal), I (isthmus at visit).  An edge typed L or I is active;
 for spanning trees the type-I edges are exactly the internal active edges
@@ -48,6 +50,8 @@ and the type-L edges the external active ones.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from . import graph as gr
 from .decision import LEFT, RIGHT
@@ -58,6 +62,10 @@ TYPE_SI = "Si"
 TYPE_I = "I"
 
 DIRECTION_OF_TYPE = {TYPE_SE: LEFT, TYPE_L: LEFT, TYPE_SI: RIGHT, TYPE_I: RIGHT}
+
+# The benchmark's widest layer holds 401 minors and K11's 115,974 (delcon,
+# 19 s on a 2-core VM); a runaway order stops here, not at gigabytes.
+LAYERED_MAX_MINORS = 2 ** 17
 
 
 def _contract(g, roots, eid):
@@ -70,6 +78,22 @@ def _contract(g, roots, eid):
     u, v = g._by_id[eid]
     a, b = roots[u], roots[v]
     return [b if c == a else c for c in roots]
+
+
+def _contract_counting(g, roots, eid, edges, typed):
+    """`_contract`, and how many untyped edges the merge makes loops.
+
+    The untyped edges are the (bit, u, v) triples of `edges` whose bit is
+    not in `typed`; `eid` must not be one of them.
+    """
+    u, v = g._by_id[eid]
+    a, b = roots[u], roots[v]
+    looped = 0
+    for fbit, p, q in edges:
+        p, q = roots[p], roots[q]
+        if ((p == a and q == b) or (p == b and q == a)) and not typed & fbit:
+            looped += 1
+    return _contract(g, roots, eid), looped
 
 
 def edge_kind(g, roots, gone, eid):
@@ -182,13 +206,8 @@ def decision_walk(g, oracle):
             bit = 1 << eid
             kind = edge_kind(g, roots, contracted | deleted, eid)
             if kind == gr.STANDARD:
-                merged = _contract(g, roots, eid)
-                typed |= bit
-                looped = 0
-                for fbit, a, b in edges:
-                    if (merged[a] == merged[b] and roots[a] != roots[b]
-                            and not typed & fbit):
-                        looped += 1
+                merged, looped = _contract_counting(g, roots, eid, edges,
+                                                    typed | bit)
                 stack.append((prefix + (RIGHT,), merged, contracted | bit,
                               deleted, internal, external, slack - looped))
                 deleted |= bit
@@ -208,6 +227,98 @@ def decision_walk(g, oracle):
                 else:
                     internal |= bit
         yield contracted | internal, internal, external
+
+
+def layered_pass(g, order):
+    """Deletion/contraction in one visit order: {(isthmuses, loops): count}.
+
+    `order` must be a permutation of g's edges.  The minors of layer k have
+    all lost the first k edges, one `gone` mask.  A loop is only deleted and
+    an isthmus only contracted, so a path to a leaf types its edges as
+    `decision_walk` does under an oracle that asks `order` level by level:
+    the tally is Tutte's linear-order activity sum.
+
+    A minor is keyed by the classes of its frontier, the vertices touched by
+    both a taken and a later edge, numbered by first appearance; any other
+    vertex a later edge touches is still a class of its own.  Every minor
+    stays connected, so equal keys merge and keep the first root list, whose
+    other vertices no later edge reads.  A layer of more than
+    LAYERED_MAX_MINORS minors is refused.
+
+    A minor's tally of (isthmuses i, loops j) pairs is one packed int,
+    sum c * 2^(w (i + n j)): a merge is `+`, an isthmus `<< w` and a loop
+    `<< w n`.  A coefficient counts distinct spanning trees, so the binomial
+    bound C(non-loop edges, n - 1) on the tree count sizes w.  A minor also
+    carries the walk's `slack`; at zero its later edges are all loops and
+    isthmuses (the forced tail), and its shifted tally joins `done`.
+    """
+    gr.require_connected(g)
+    ends = g._by_id
+    if sorted(order) != sorted(ends):
+        bad = next((e for e in order if e not in ends), None)
+        if bad is None:  # every id is g's, but some edge is missing
+            raise ValueError("order must be a permutation of the edges")
+        raise ValueError(f"oracle returned unusable edge {bad}")
+    n = g.vertex_count
+    nonloop = sum(u != v for _, u, v in g.edges)
+    slack = nonloop - n + 1
+    if not slack:  # a tree with loops
+        return {(n - 1, len(order) - nonloop): 1}
+    w = comb(nonloop, n - 1).bit_length() + 1
+    last = [-1] * n  # the last layer that touches a vertex
+    for k, eid in enumerate(order):
+        u, v = ends[eid]
+        last[u] = last[v] = k
+    layer = {(): [list(range(n)), 1, slack]}
+    frontier = []
+    gone = done = 0
+    for k, eid in enumerate(order):
+        u, v = ends[eid]
+        frontier = [x for x in dict.fromkeys(frontier + [u, v])
+                    if last[x] > k]
+        rest = len(order) - k - 1
+        later = None
+        nxt = {}
+        for roots, tally, slack in layer.values():
+            kind = edge_kind(g, roots, gone, eid)
+            if kind == gr.LOOP:  # a loop is only deleted
+                moves = ((roots, tally << w * n, slack),)
+            elif kind == gr.ISTHMUS:  # an isthmus is only contracted
+                moves = ((_contract(g, roots, eid), tally << w, slack),)
+            else:
+                if later is None:
+                    later = [(1 << f, *ends[f]) for f in order[k + 1:]]
+                merged, looped = _contract_counting(g, roots, eid, later, 0)
+                moves = ((roots, tally, slack - 1),
+                         (merged, tally, slack - looped))
+            for child, part, left in moves:
+                if not left:
+                    isthmuses = len(set(child)) - 1
+                    done += part << w * (isthmuses + n * (rest - isthmuses))
+                    continue
+                names = {}
+                key = tuple([names.setdefault(child[x], len(names))
+                             for x in frontier])
+                into = nxt.get(key)
+                if into is None:
+                    nxt[key] = [child, part, left]
+                else:
+                    into[1] += part
+        if len(nxt) > LAYERED_MAX_MINORS:
+            raise ValueError(
+                f"the layered pass is capped at {LAYERED_MAX_MINORS} minors "
+                f"per layer; layer {k + 1} of {len(order)} has {len(nxt)}")
+        gone |= 1 << eid
+        layer = nxt
+    mask = (1 << w) - 1
+    tally = {}
+    slot = 0
+    while done:
+        if done & mask:
+            tally[slot % n, slot // n] = done & mask
+        done >>= w
+        slot += 1
+    return tally
 
 
 def forest_walk(g, oracle):

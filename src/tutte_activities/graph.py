@@ -7,10 +7,10 @@ subgraphs are identified with their edge sets, represented as plain int
 bitmasks (bit i set = edge i present).
 
 Every component question goes through one union-find, `class_roots`.  The
-typing passes in `engine` and the layered pass of `tutte` (`delcon` and the
-linear activity route) do not call it: they carry a minor's contracted
-classes as a root list and merge two classes per contraction.  A graph keeps
-the answer of `is_connected`, the guard of every route, once it is known.
+typing passes and the layered pass in `engine` do not call it: they carry a
+minor's contracted classes as a root list and merge two classes per
+contraction.  A graph keeps the answer of `is_connected`, the guard of every
+route, once it is known.
 
 The spanning trees and forests of a connected graph are the leaves of the
 walks in `engine`, which imports this module and so is imported late here.

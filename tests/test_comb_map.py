@@ -6,8 +6,9 @@ import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities.comb_map import (CombMap, _cycles_of, format_map, genus,
-                                       map_contract, map_delete, mirror,
-                                       motion_function, parse_map, tour_order)
+                                       load_map, map_contract, map_delete,
+                                       mirror, motion_function, parse_map,
+                                       save_map, tour_order)
 from tutte_activities.harness import canonical_form, connected_multigraphs
 from conftest import FIXTURES, fixture_graph, fixture_map
 
@@ -204,6 +205,24 @@ def test_map_format_round_trip(name):
     again = parse_map(text)
     assert again == m
     assert format_map(again) == text
+
+
+def test_save_and_load_keep_a_map_and_its_edge_ids(corpus, tmp_path):
+    """Half-edges 2e and 2e+1 on edge e: the reloaded map is the same map.
+
+    A file names such a map's half-edges 0 to 2m-1, and a rotation can
+    write them in any order: a vertex with three loops whose rotation lists
+    edges 0, 2, 1 writes a rotation of 0, 2, 1 from every start.
+    """
+    rng = random.Random(1)
+    path = tmp_path / "seeded.map"
+    for g in corpus:
+        for _ in range(2):
+            m = seeded_rotation(g, rng)
+            save_map(m, path)
+            again = load_map(path)
+            assert again == m
+            assert again.underlying_graph().edges == g.edges
 
 
 LOOP_LINES = ["halfedges 2", "sigma (a b)", "alpha (a b)", "root a"]

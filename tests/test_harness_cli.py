@@ -1,11 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities import classic, cli, harness
+from tutte_activities import classic, cli, engine, harness
 from tutte_activities.harness import (canonical_form, connected_multigraphs,
                                       crosscheck)
 from conftest import (FIXTURES, ROOT, complete, fixture_graph, fixture_map,
@@ -164,6 +165,27 @@ def test_cli_delcon_reaches_grid_6x6(tmp_path, capsys):
     terms = _terms(capsys.readouterr().out.strip())
     assert sum(terms.values()) == 32_565_539_635_200  # T(1,1)
     assert sum(c << (i + j) for (i, j), c in terms.items()) == 2 ** 60
+
+
+def test_cli_layered_pass_cap_is_one_error_line(tmp_path, monkeypatch,
+                                                capsys):
+    path = tmp_path / "k7.graph"
+    gr.save_graph(complete(7), path)
+    delcon = ["tutte", "--graph", str(path), "--method", "delcon"]
+    linear = ["tutte", "--graph", str(path), "--method", "activity",
+              "--oracle", "linear"]
+    for argv in (delcon, linear):  # the real cap leaves K7 alone
+        cli.main(argv)
+    first, second = capsys.readouterr().out.split("\n", 1)
+    assert second == first + "\n"
+    monkeypatch.setattr(engine, "LAYERED_MAX_MINORS", 50)
+    for argv in (delcon, linear):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert re.fullmatch(r"error: the layered pass is capped at 50 minors "
+                            r"per layer; layer \d+ of 21 has \d+",
+                            str(exc.value))
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_tutte_embedding_oracle():

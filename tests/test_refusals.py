@@ -1,0 +1,54 @@
+"""Refusals that no route of the other tests reaches: one input, one message."""
+
+import pytest
+
+from tutte_activities import graph as gr
+from tutte_activities.classic import dfs_active_by_inversion, order_map_oracle
+from tutte_activities.comb_map import CombMap, map_delete, parse_map
+from tutte_activities.decision import LEFT, DecisionOracle, order_map_trie
+from tutte_activities.poly import BivariatePoly
+
+TRIANGLE = gr.Graph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
+LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: CombMap([0, 1, 2], [1, 0, 2], 0),
+     "need an even, positive number of half-edges"),
+    (lambda: CombMap([0, 0], [1, 0], 0),
+     "sigma and alpha must be permutations of 0..2m-1"),
+    (lambda: CombMap([0, 1], [1, 0], 2), "root out of range"),
+    (lambda: CombMap([0, 1], [1, 0], 0, ["a", "a"]),
+     "names must be distinct, one per half-edge"),
+    (lambda: parse_map(LOOP_MAP).edge_id_by_name("c"), "no edge named 'c'"),
+    (lambda: map_delete(parse_map(LOOP_MAP), 0),
+     "operation would leave an empty map"),
+    (lambda: order_map_oracle("bfs", TRIANGLE),
+     "unknown order-map family 'bfs'"),
+    (lambda: dfs_active_by_inversion(TRIANGLE, 0b111),
+     "edge set is not its own DFS forest"),
+    (lambda: order_map_trie(TRIANGLE, {t: (0, 1, 1) for t
+                                       in gr.spanning_trees(TRIANGLE)}),
+     "entry for tree 0x3 is not an edge permutation"),
+    (lambda: gr.Graph(0, []), "vertex_count must be positive"),
+    (lambda: gr.Graph(2, [(-1, 0, 1)]), "edge ids must be non-negative"),
+    (lambda: gr.tree_path(gr.Graph(3, [(0, 0, 1), (1, 1, 2)]), 0b01, 0, 2),
+     "endpoints not connected in the given tree"),
+    (lambda: gr.fundamental_cocycle(gr.Graph(2, [(0, 0, 1), (1, 1, 1)]),
+                                    0b11, 1),
+     "a loop cannot belong to a spanning tree"),
+    (lambda: BivariatePoly.one() ** -1, "negative power"),
+    (lambda: BivariatePoly.from_machine_form("1,0,1/1"),
+     "bad machine-form line: '1,0,1/1'"),
+    (lambda: DecisionOracle([0, 1, 2], {(): 0}).next_edge((LEFT,)),
+     "no edge for prefix 'l'"),
+], ids=["odd-half-edges", "sigma-not-a-permutation", "root-out-of-range",
+        "repeated-names", "unknown-edge-name", "delete-last-edge",
+        "unknown-family", "not-its-own-dfs-forest", "trie-not-a-permutation",
+        "no-vertices", "negative-id", "tree-path-across-components",
+        "cocycle-of-a-loop", "negative-power", "bad-machine-form-line",
+        "prefix-not-in-table"])
+def test_refusal_names_its_cause(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
