@@ -266,11 +266,11 @@ def dfs_run(g, subgraph_mask) -> DfsRun:
     the edge lies in the subgraph and reaches an unvisited vertex.
     """
     _require_dfs_graph(g)
-    return _marking_dfs(g, subgraph_mask)
+    return _marking_dfs(_dfs_incidence(g), subgraph_mask)
 
 
-def _marking_dfs(g, subgraph_mask) -> DfsRun:
-    """`dfs_run` on a graph already checked by `_require_dfs_graph`."""
+def _dfs_incidence(g):
+    """Per vertex, its (neighbor, edge id) pairs in descending order."""
     incident = [[] for _ in range(g.vertex_count)]
     for eid, u, v in g.edges:
         incident[u].append((v, eid))
@@ -278,11 +278,16 @@ def _marking_dfs(g, subgraph_mask) -> DfsRun:
             incident[v].append((u, eid))
     for edges in incident:
         edges.sort(reverse=True)
+    return incident
+
+
+def _marking_dfs(incident, subgraph_mask) -> DfsRun:
+    """`dfs_run` from the `_dfs_incidence` of a checked graph."""
     parent = {}  # in visit order
     marked = set()
     edge_order = []
     forest = 0
-    for root in range(g.vertex_count):
+    for root in range(len(incident)):
         if root in parent:
             continue
         parent[root] = None
@@ -313,10 +318,11 @@ def dfs_active(g, forest_mask) -> int:
     """External edges whose addition leaves the DFS forest unchanged."""
     if dfs_forest(g, forest_mask) != forest_mask:  # checks g once
         raise ValueError("edge set is not its own DFS forest")
+    incident = _dfs_incidence(g)
     result = 0
     for eid, _, _ in g.edges:
         if not ((forest_mask >> eid) & 1):
-            grown = _marking_dfs(g, forest_mask | (1 << eid))
+            grown = _marking_dfs(incident, forest_mask | (1 << eid))
             if grown.forest_mask == forest_mask:
                 result |= 1 << eid
     return result
@@ -383,14 +389,14 @@ class DfsOracle(DecisionOracle):
     def __init__(self, g):
         _require_dfs_graph(g)
         super().__init__(g.edge_ids)
-        self.g = g
+        self.incident = _dfs_incidence(g)
 
     def choose(self, prefix, unused):
         # Every ancestor was asked first, by the walk or by `next_edge`, so
         # each is tabled.
         inside = gr.edge_set(self.table[prefix[:j]]
                              for j, d in enumerate(prefix) if d == RIGHT)
-        return _marking_dfs(self.g, inside).edge_order[len(prefix)]
+        return _marking_dfs(self.incident, inside).edge_order[len(prefix)]
 
 
 def order_map_oracle(family, g, cmap=None):

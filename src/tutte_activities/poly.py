@@ -21,6 +21,20 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _shift_axis(terms, axis, d):
+    """The terms with exponent e on `axis` expanded as (t + d)^e."""
+    powers = [1]
+    for _ in range(max(key[axis] for key in terms)):
+        powers.append(powers[-1] * d)
+    out = {}
+    for key, c in terms.items():
+        e = key[axis]
+        for a in range(e + 1):
+            k = (a, key[1]) if axis == 0 else (key[0], a)
+            out[k] = out.get(k, 0) + c * comb(e, a) * powers[e - a]
+    return out
+
+
 class BivariatePoly:
     """Immutable polynomial in two variables x and y over the rationals."""
 
@@ -100,16 +114,19 @@ class BivariatePoly:
         return result
 
     def substitute_shift(self, dx, dy):
-        """Return p(x + dx, y + dy), expanded binomially."""
-        dx, dy = _exact(dx), _exact(dy)
-        terms = {}
-        for (i, j), c in self.terms.items():
-            for a in range(i + 1):
-                xc = comb(i, a) * dx ** (i - a)
-                for b in range(j + 1):
-                    yc = comb(j, b) * dy ** (j - b)
-                    k = (a, b)
-                    terms[k] = terms.get(k, 0) + c * xc * yc
+        """Return p(x + dx, y + dy), expanded binomially.
+
+        (x + dx)^i (y + dy)^j factors, so x is expanded first and then y,
+        each as sum_a C(e, a) d^(e-a) t^a, and an axis whose shift is 0 is
+        skipped.  Each axis is one pass over the terms, so when the terms
+        x^i y^j fill a staircase, as every route's tally does, the shift costs
+        O(sum (i + j)) products; expanding both axes at once costs
+        O(sum i*j).
+        """
+        terms = self.terms
+        for axis, d in ((0, _exact(dx)), (1, _exact(dy))):
+            if d and terms:
+                terms = _shift_axis(terms, axis, d)
         return BivariatePoly(terms)
 
     def evaluate(self, x, y):

@@ -72,6 +72,33 @@ def test_shift_expands_binomially():
         (1, 0): 3, (0, 0): Fraction(3, 2)})
 
 
+def test_shift_on_both_axes_evaluates_at_the_shifted_point():
+    rng = random.Random(24)
+    shifts = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    points = [(0, 0), (1, -2), (Fraction(2, 3), Fraction(-5, 7)), (3, 1)]
+    for _ in range(6):
+        p = random_poly(rng, max_exp=5, terms=6)
+        for a in shifts:
+            for b in shifts:
+                q = p.substitute_shift(a, b)
+                for x, y in points:
+                    assert q.evaluate(x, y) == p.evaluate(x + a, y + b), \
+                        (p, a, b, x, y)
+
+
+def test_shift_of_integers_keeps_int_coefficients():
+    rng = random.Random(25)
+    for _ in range(20):
+        p = BivariatePoly({(rng.randrange(6), rng.randrange(6)):
+                           rng.randrange(-9, 10) for _ in range(6)})
+        for a in (0, 1, -1, 2):
+            for b in (0, 1, -1, 2):
+                q = p.substitute_shift(a, b)
+                assert all(type(c) is int for c in q.terms.values())
+                assert q.evaluate(2, -3) == p.evaluate(2 + a, -3 + b)
+    assert BivariatePoly.zero().substitute_shift(1, -1) == BivariatePoly.zero()
+
+
 def test_machine_form_round_trip():
     rng = random.Random(99)
     for _ in range(10):

@@ -146,9 +146,29 @@ def test_frontier_subgraph_sum_past_the_definitional_cap():
         assert tutte_delta(g, from_linear_order(order[::-1])) == reference, g
 
 
+def _deep_multigraphs():
+    """Seeded multigraphs of 16-18 edges: one with loops, one with parallel
+    edges (17 edges on 5 vertices, no loops), one with ids in m..4m-1."""
+    rng = random.Random(24)
+
+    def connected(n, m, ends):
+        while True:
+            g = gr.Graph(n, [(i, *ends(n)) for i in range(m)])
+            if gr.is_connected(g):
+                return g
+
+    def any_ends(n):
+        return rng.randrange(n), rng.randrange(n)
+
+    with_loops = connected(6, 16, any_ends)
+    assert any(u == v for _, u, v in with_loops.edges)
+    parallel = connected(5, 17, lambda n: rng.sample(range(n), 2))
+    return [with_loops, parallel, _moved_ids(connected(8, 18, any_ends), rng)]
+
+
 def test_frontier_subgraph_sum_on_small_graphs(g4):
     assert str(_frontier_subgraph_sum(g4, [3, 0, 2, 1])) == GOLDEN_G4
-    for g in connected_multigraphs(4):
+    for g in connected_multigraphs(4) + _deep_multigraphs():
         assert _frontier_subgraph_sum(g, g.edge_ids) == tutte_definitional(g)
 
 
