@@ -59,21 +59,23 @@ def _fundamental_sets(g, tree_mask):
     return sets
 
 
-def _extreme_rule(g, rank, tree_mask, pick):
-    """Active = edges extreme (by `rank`) in their fundamental cycle/cocycle."""
-    internal = 0
-    external = 0
+def _extreme_rule(g, order, tree_mask):
+    """Active = edges first in `order` within their fundamental cycle/cocycle.
+
+    An edge comes first in its fundamental set exactly when the set misses
+    every edge placed before it, so each edge costs one AND with the mask of
+    its predecessors.  The max rule passes the order reversed.
+    """
+    before = {}
+    placed = 0
+    for eid in order:
+        before[eid] = placed
+        placed |= 1 << eid
+    active = 0
     for eid, fundamental in _fundamental_sets(g, tree_mask).items():
-        if eid == pick(gr.edge_ids(fundamental), key=rank.__getitem__):
-            if (tree_mask >> eid) & 1:
-                internal |= 1 << eid
-            else:
-                external |= 1 << eid
-    return internal, external
-
-
-def _rank_of(order):
-    return {eid: i for i, eid in enumerate(order)}
+        if not fundamental & before[eid]:
+            active |= 1 << eid
+    return active & tree_mask, active & ~tree_mask
 
 
 def _require_order(g, order, tree_mask):
@@ -85,20 +87,20 @@ def _require_order(g, order, tree_mask):
 def ordering_active(g, order, tree_mask):
     """Tutte's rule: minimal in the fundamental set for the linear order."""
     _require_order(g, order, tree_mask)
-    return _extreme_rule(g, _rank_of(order), tree_mask, min)
+    return _extreme_rule(g, order, tree_mask)
 
 
 def maximal_active(g, order, tree_mask):
     """Dual rule: maximal in the fundamental set for the given order."""
     _require_order(g, order, tree_mask)
-    return _extreme_rule(g, _rank_of(order), tree_mask, max)
+    return _extreme_rule(g, reversed(order), tree_mask)
 
 
 def embedding_active(m: CombMap, tree_mask):
     """Minimal for the tour order of the tree in the fundamental set."""
     g = m.underlying_graph()
     _, edge_order = tour_order(m, tree_mask)
-    return _extreme_rule(g, _rank_of(edge_order), tree_mask, min)
+    return _extreme_rule(g, edge_order, tree_mask)
 
 
 # -- blossoming: the pruning walk ---------------------------------------------
@@ -134,15 +136,22 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
     skipped, so the step is `sigma[alpha[h]]` followed along `sigma` past
     dead half-edges.  The map is connected and a deletion never disconnects
     it, so each vertex keeps a live half-edge until every edge is dead.
+
+    Each edge is classified once, at its first visit: the walk only
+    deletes, an isthmus stays one under deletion, and a forest edge's kind
+    is recorded only then.  The forest is never deleted, so an external
+    edge whose ends it joins is never an isthmus and needs no test.
     """
     g0 = m.underlying_graph()
-    if not gr.is_forest(g0, forest_mask):
+    forest = gr.class_roots(g0, forest_mask)
+    all_edges = g0.full_edge_set()
+    if len(set(forest)) + gr.popcount(forest_mask & all_edges) \
+            != g0.vertex_count:
         raise ValueError("input edge set contains a cycle")
     sigma = m.sigma
     alpha = m.alpha
     edge_of = m.edge_of()
     vertex_of = m.vertex_of()
-    all_edges = g0.full_edge_set()
     roots = list(range(g0.vertex_count))  # nothing is ever contracted
 
     dead = seen = 0
@@ -159,17 +168,17 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
             raise RuntimeError("pruning walk failed to terminate")
         eid = edge_of[h]
         bit = 1 << eid
-        first = not seen & bit
-        if first:
+        if not seen & bit:
             seen |= bit
             first_visit.append(eid)
-        is_isthmus = edge_kind(g0, roots, dead, eid) == gr.ISTHMUS
-        if first and is_isthmus:
-            isthmus_first |= bit
-        if not is_isthmus and not forest_mask & bit:
-            dead |= bit
-            charges[vertex_of[h]] -= 1
-            charges[vertex_of[alpha[h]]] += 1
+            u, v = vertex_of[h], vertex_of[alpha[h]]
+            if (forest_mask & bit or forest[u] != forest[v]) and \
+                    edge_kind(g0, roots, dead, eid) == gr.ISTHMUS:
+                isthmus_first |= bit
+            elif not forest_mask & bit:
+                dead |= bit
+                charges[u] -= 1
+                charges[v] += 1
         h = sigma[alpha[h]]
         while dead != all_edges and (dead >> edge_of[h]) & 1:
             h = sigma[h]
@@ -206,7 +215,7 @@ def blossoming_active(m: CombMap, tree_mask):
     """
     g = m.underlying_graph()
     order = blossoming_first_visit_order(m, tree_mask)
-    return _extreme_rule(g, _rank_of(order), tree_mask, max)
+    return _extreme_rule(g, reversed(order), tree_mask)
 
 
 def blossoming_subtree_charge(m: CombMap, tree_mask, eid) -> int:
@@ -248,14 +257,16 @@ def _require_dfs_graph(g):
 
 
 class DfsRun:
-    """DFS transcript: forest mask, vertex visit order, parent links, and
-    every edge id in first-visit order."""
+    """DFS transcript: forest mask, vertex visit order, parent links, every
+    edge id in first-visit order, and the closed edges: those marked while
+    their far end was already visited."""
 
-    def __init__(self, forest_mask, vertex_order, parent, edge_order):
+    def __init__(self, forest_mask, vertex_order, parent, edge_order, closed):
         self.forest_mask = forest_mask
         self.vertex_order = vertex_order
         self.parent = parent  # vertex -> (parent vertex, edge id) or None
         self.edge_order = edge_order
+        self.closed = closed
 
 
 def dfs_run(g, subgraph_mask) -> DfsRun:
@@ -286,7 +297,7 @@ def _marking_dfs(incident, subgraph_mask) -> DfsRun:
     parent = {}  # in visit order
     marked = set()
     edge_order = []
-    forest = 0
+    forest = closed = 0
     for root in range(len(incident)):
         if root in parent:
             continue
@@ -299,14 +310,16 @@ def _marking_dfs(incident, subgraph_mask) -> DfsRun:
                     continue
                 marked.add(eid)
                 edge_order.append(eid)
-                if (subgraph_mask >> eid) & 1 and u not in parent:
+                if u in parent:
+                    closed |= 1 << eid
+                elif (subgraph_mask >> eid) & 1:
                     parent[u] = (v, eid)
                     forest |= 1 << eid
                     stack.append((u, iter(incident[u])))
                     break
             else:
                 stack.pop()
-    return DfsRun(forest, list(parent), parent, edge_order)
+    return DfsRun(forest, list(parent), parent, edge_order, closed)
 
 
 def dfs_forest(g, subgraph_mask) -> int:
@@ -315,17 +328,17 @@ def dfs_forest(g, subgraph_mask) -> int:
 
 
 def dfs_active(g, forest_mask) -> int:
-    """External edges whose addition leaves the DFS forest unchanged."""
-    if dfs_forest(g, forest_mask) != forest_mask:  # checks g once
+    """External edges whose addition leaves the DFS forest unchanged.
+
+    The search on F + e runs as on F until it marks e.  It then changes the
+    forest exactly when it traverses e, that is when e's far end is still
+    unvisited.  So the active edges are the closed edges of the one search
+    on F, which traverses every edge of F when F is its own DFS forest.
+    """
+    run = dfs_run(g, forest_mask)
+    if run.forest_mask != forest_mask:
         raise ValueError("edge set is not its own DFS forest")
-    incident = _dfs_incidence(g)
-    result = 0
-    for eid, _, _ in g.edges:
-        if not ((forest_mask >> eid) & 1):
-            grown = _marking_dfs(incident, forest_mask | (1 << eid))
-            if grown.forest_mask == forest_mask:
-                result |= 1 << eid
-    return result
+    return run.closed
 
 
 def dfs_active_by_inversion(g, forest_mask) -> int:

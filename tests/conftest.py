@@ -99,6 +99,21 @@ def permuted(g, seed):
                                      for i, (_, u, v) in zip(ids, g.edges)])
 
 
+def moved_ids(g, rng):
+    """Each edge id of g mapped to a distinct id in m..4m-1 drawn by `rng`.
+
+    `permuted` only shuffles ids within 0..m-1; every minor has ids like
+    these.
+    """
+    m = g.edge_count()
+    return dict(zip(g.edge_ids, rng.sample(range(m, 4 * m), m)))
+
+
+def renamed(g, new):
+    """g with each edge id e renamed to new[e]."""
+    return gr.Graph(g.vertex_count, [(new[e], u, v) for e, u, v in g.edges])
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """The desk corpus, built once for the whole run."""

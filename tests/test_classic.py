@@ -17,7 +17,8 @@ from tutte_activities.decision import (LEFT, RIGHT, DecisionOracle,
                                        from_linear_order, from_order_map)
 from tutte_activities.engine import delta_activity, delta_ordering, forest_walk
 from tutte_activities.harness import connected_multigraphs
-from conftest import fixture_graph, fixture_map, letters_of, mask_of, permuted
+from conftest import (fixture_graph, fixture_map, letters_of, mask_of,
+                      moved_ids, permuted, renamed)
 
 
 def edge_mask(m, names):
@@ -502,6 +503,44 @@ def test_dfs_activity_is_the_forest_rule_of_the_marking_dfs_tree(corpus):
         lazy = order_map_oracle("dfs", g)
         assert dict(forest_walk(g, lazy)) == expected, g
         assert lazy.table == table, g
+
+
+def per_edge_dfs_active(g, forest_mask):
+    """DFS activity by its definition: one DFS forest per external edge."""
+    return gr.edge_set(eid for eid in g.edge_ids
+                       if not (forest_mask >> eid) & 1
+                       and dfs_forest(g, forest_mask | 1 << eid) == forest_mask)
+
+
+def test_dfs_active_matches_its_definition(corpus):
+    simple = [g for g in corpus if not _has_multiple_edges(g)]
+    assert len(simple) == 70
+    for g in simple + [permuted(g, seed) for seed, g in enumerate(simple)]:
+        for f in gr.spanning_forests(g):
+            assert dfs_active(g, f) == per_edge_dfs_active(g, f), (g, f)
+
+
+def test_native_rules_follow_moved_edge_ids(corpus):
+    rng = random.Random(25)
+    for g in corpus:
+        new = moved_ids(g, rng)
+        h = renamed(g, new)
+
+        def move(mask):
+            return gr.edge_set(new[e] for e in gr.edge_ids(mask))
+
+        order = list(g.edge_ids)
+        rng.shuffle(order)
+        moved_order = [new[e] for e in order]
+        for t in gr.spanning_trees(g):
+            for rule in (ordering_active, maximal_active):
+                assert rule(h, moved_order, move(t)) == \
+                    tuple(map(move, rule(g, order, t))), (g, rule, t)
+        if _has_multiple_edges(g):
+            continue
+        for f in gr.spanning_forests(g):
+            for rule in (dfs_active, dfs_active_by_inversion):
+                assert rule(h, move(f)) == move(rule(g, f)), (g, rule, f)
 
 
 @pytest.mark.parametrize("family", ["embedding", "blossoming"])

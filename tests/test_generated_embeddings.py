@@ -136,8 +136,11 @@ def seeded_rotation(g, rng):
 def _spliced_prune_reference(m, forest_mask):
     """The pruning walk on a copy of the rotation that deleted edges are
     spliced out of: (tree, first visits, isthmuses at first visit, charges).
+
+    Every step, revisits included, classifies its edge afresh in the graph
+    that `gr.delete` rebuilt after each deletion.
     """
-    g0 = m.underlying_graph()
+    g0 = current = m.underlying_graph()
     n_half = len(m.sigma)
     sigma = list(m.sigma)
     alpha = m.alpha
@@ -154,11 +157,6 @@ def _spliced_prune_reference(m, forest_mask):
     def alive(h):
         return not (dead >> edge_of[h]) & 1
 
-    def is_isthmus(eid):
-        h = gr.Graph(g0.vertex_count, [e for e in g0.edges
-                                       if not (dead >> e[0]) & 1])
-        return gr.classify_edge(h, eid) == gr.ISTHMUS
-
     h = m.root
     for _ in range(4 * n_half * n_half + 16):
         if len(visited) == len(pairs):
@@ -170,7 +168,7 @@ def _spliced_prune_reference(m, forest_mask):
             first_visit.append(eid)
         departure, arrival = vertex_of[h], vertex_of[alpha[h]]
         h_next = sigma[alpha[h]]
-        isthmus = is_isthmus(eid)
+        isthmus = gr.classify_edge(current, eid) == gr.ISTHMUS
         if first and isthmus:
             isthmus_first |= 1 << eid
         if not isthmus and not (forest_mask >> eid) & 1:
@@ -180,6 +178,7 @@ def _spliced_prune_reference(m, forest_mask):
                     while sigma[x] in halves:
                         sigma[x] = sigma[sigma[x]]
             dead |= 1 << eid
+            current = gr.delete(current, eid)
             charges[departure] -= 1
             charges[arrival] += 1
         for _ in range(n_half + 1):
@@ -208,6 +207,17 @@ def test_prune_run_matches_the_spliced_rotation_walk(corpus):
                     run.charges) == _spliced_prune_reference(m, f), (m, f)
             runs += 1
     assert runs > 2000
+
+
+@pytest.mark.parametrize("name", ["parallel_triangle", "parallel_triangle_alt",
+                                  "pruning_planar", "nonplanar_parallel",
+                                  "two_crossing_loops", "loop_contract_guard"])
+def test_prune_run_matches_the_spliced_rotation_walk_on_fixture_maps(name):
+    m = fixture_map(name)
+    for f in gr.spanning_forests(m.underlying_graph()):
+        run = prune_run(m, f)
+        assert (run.tree_mask, run.first_visit, run.isthmus_at_first_visit,
+                run.charges) == _spliced_prune_reference(m, f), f
 
 
 def dual_graph(m):

@@ -18,7 +18,8 @@ from tutte_activities.tutte import (DEFINITIONAL_MAX_EDGES, tutte_activity,
                                     tutte_delta, tutte_dfs, tutte_forest,
                                     tutte_forest_activity, tutte_half,
                                     _pivot_order)
-from conftest import complete, fixture_graph, grid, kirchhoff_count, permuted
+from conftest import (complete, fixture_graph, grid, kirchhoff_count,
+                      moved_ids, permuted, renamed)
 
 GOLDEN_G4 = "x^2 + x*y + x + y^2 + y"
 
@@ -163,7 +164,8 @@ def _deep_multigraphs():
     with_loops = connected(6, 16, any_ends)
     assert any(u == v for _, u, v in with_loops.edges)
     parallel = connected(5, 17, lambda n: rng.sample(range(n), 2))
-    return [with_loops, parallel, _moved_ids(connected(8, 18, any_ends), rng)]
+    sparse = connected(8, 18, any_ends)
+    return [with_loops, parallel, renamed(sparse, moved_ids(sparse, rng))]
 
 
 def test_frontier_subgraph_sum_on_small_graphs(g4):
@@ -178,18 +180,10 @@ def _walk_leaf_sum(g, oracle):
                                  in decision_walk(g, oracle)))
 
 
-def _moved_ids(g, rng):
-    """The graph with its ids moved to distinct values in m..4m-1."""
-    m = g.edge_count()
-    ids = rng.sample(range(m, 4 * m), m)
-    return gr.Graph(g.vertex_count, [(ids[i], u, v) for i, (_, u, v)
-                                      in enumerate(g.edges)])
-
-
 def test_linear_route_is_the_walks_leaf_sum(corpus):
     rng = random.Random(3)
     graphs = corpus + connected_multigraphs(4)
-    for g in graphs + [_moved_ids(g, rng) for g in graphs]:
+    for g in graphs + [renamed(g, moved_ids(g, rng)) for g in graphs]:
         ids = list(g.edge_ids)
         orders = [ids, ids[::-1]]
         for seed in range(3):
@@ -245,10 +239,7 @@ def test_delcon_equals_the_rebuilt_minor_recursion(corpus):
     for seed, g in enumerate(corpus):
         h = permuted(g, seed)
         assert tutte_delcon(h) == _delcon_reference(h), h
-        m = g.edge_count()  # ids moved to distinct values in m..4m-1
-        ids = rng.sample(range(m, 4 * m), m)
-        moved = gr.Graph(g.vertex_count, [(ids[i], u, v) for i, (_, u, v)
-                                          in enumerate(g.edges)])
+        moved = renamed(g, moved_ids(g, rng))
         assert tutte_delcon(moved) == _delcon_reference(moved), moved
     for g in connected_multigraphs(4):
         assert tutte_delcon(g) == _delcon_reference(g), g
