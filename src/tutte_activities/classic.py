@@ -247,15 +247,6 @@ def blossoming_charge_check(m: CombMap, tree_mask, eid) -> bool:
 # -- DFS activity ---------------------------------------------------------------
 
 
-def _require_dfs_graph(g):
-    seen = set()
-    for _, u, v in g.edges:
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError("DFS activity needs a graph without multiple edges")
-        seen.add(key)
-
-
 class DfsRun:
     """DFS transcript: forest mask, vertex visit order, parent links, every
     edge id in first-visit order, and the closed edges: those marked while
@@ -276,19 +267,30 @@ def dfs_run(g, subgraph_mask) -> DfsRun:
     marks those not yet marked; the search moves along an edge exactly when
     the edge lies in the subgraph and reaches an unvisited vertex.
     """
-    _require_dfs_graph(g)
     return _marking_dfs(_dfs_incidence(g), subgraph_mask)
 
 
 def _dfs_incidence(g):
-    """Per vertex, its (neighbor, edge id) pairs in descending order."""
-    incident = [[] for _ in range(g.vertex_count)]
-    for eid, u, v in g.edges:
-        incident[u].append((v, eid))
-        if u != v:
-            incident[v].append((u, eid))
-    for edges in incident:
-        edges.sort(reverse=True)
+    """Per vertex, its (neighbor, edge id) pairs in descending order.
+
+    Worked out on the first call and kept on g, as `is_connected` keeps its
+    answer; a graph with multiple edges is refused on every call.
+    """
+    incident = getattr(g, "_dfs_incidence", None)  # unset until then
+    if incident is None:
+        pairs = {(min(u, v), max(u, v)) for _, u, v in g.edges}
+        incident = False
+        if len(pairs) == g.edge_count():
+            incident = [[] for _ in range(g.vertex_count)]
+            for eid, u, v in g.edges:
+                incident[u].append((v, eid))
+                if u != v:
+                    incident[v].append((u, eid))
+            for edges in incident:
+                edges.sort(reverse=True)
+        object.__setattr__(g, "_dfs_incidence", incident)
+    if incident is False:
+        raise ValueError("DFS activity needs a graph without multiple edges")
     return incident
 
 
@@ -400,9 +402,8 @@ class DfsOracle(DecisionOracle):
     """
 
     def __init__(self, g):
-        _require_dfs_graph(g)
-        super().__init__(g.edge_ids)
         self.incident = _dfs_incidence(g)
+        super().__init__(g.edge_ids)
 
     def choose(self, prefix, unused):
         # Every ancestor was asked first, by the walk or by `next_edge`, so

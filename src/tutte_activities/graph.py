@@ -18,6 +18,10 @@ walks in `engine`, which imports this module and so is imported late here.
 
 from __future__ import annotations
 
+# Edge sets are ints with bit `id` set per edge, so every mask is as wide as
+# the largest id; a graph with a larger id is refused when it is built.
+MAX_EDGE_ID = 1 << 20
+
 LOOP = "Loop"
 ISTHMUS = "Isthmus"
 STANDARD = "Standard"
@@ -30,7 +34,10 @@ class Graph:
     loop.  Freshly built graphs use ids 0..m-1; minors keep original ids.
     """
 
-    __slots__ = ("vertex_count", "edges", "_by_id", "_connected")
+    # _connected and _dfs_incidence are filled on first use, by
+    # `is_connected` and `classic._dfs_incidence`.
+    __slots__ = ("vertex_count", "edges", "_by_id", "_connected",
+                 "_dfs_incidence")
 
     def __init__(self, vertex_count, edges):
         if vertex_count <= 0:
@@ -41,6 +48,9 @@ class Graph:
                 raise ValueError(f"edge {eid} endpoint out of range")
             if eid < 0:
                 raise ValueError("edge ids must be non-negative")
+            if eid > MAX_EDGE_ID:
+                raise ValueError(
+                    f"edge id {eid} is above the largest id, {MAX_EDGE_ID}")
             norm.append((int(eid), int(u), int(v)))
         norm.sort()
         ids = [e[0] for e in norm]

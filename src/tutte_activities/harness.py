@@ -5,13 +5,14 @@ one graph (optionally with an embedding) and reports one line per check,
 with the first counterexample when something fails.  Each fact the checks
 share is computed once, such as one typing table per oracle.  The generators
 enumerate small connected multigraphs up to isomorphism for exhaustive
-testing; isomorphism uses brute-force canonical labelling, which is fine at
-these sizes.
+testing.  Isomorphs are rejected by an exact canonical form, found by a
+labelling search that branches only where vertices tie (`canonical_form`);
+all 470 connected multigraphs with at most six edges come out in seconds.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
 from . import graph as gr
 from .classic import (blossoming_active, blossoming_internal_active,
@@ -32,16 +33,84 @@ from .tutte import (tutte_definitional, tutte_delcon, tutte_delta,
 
 
 def canonical_form(g: gr.Graph):
-    """Isomorphism-invariant key: lexicographically least relabelled edge list."""
-    n = g.vertex_count
-    best = None
-    for perm in permutations(range(n)):
-        key = tuple(sorted(
-            (min(perm[u], perm[v]), max(perm[u], perm[v]))
-            for _, u, v in g.edges))
-        if best is None or key < best:
-            best = key
-    return (n, best)
+    """Isomorphism-invariant key: lexicographically least relabelled edge list.
+
+    The key is (n, the least over vertex labellings of the sorted list of
+    (min, max) label pairs), found without trying all n! labellings.  Read
+    the pairs as counts over the slots (0, 0), (0, 1), ..., (n-1, n-1) in
+    lexicographic order: row k holds the loops at label k, then the edges
+    from k to labels k+1, ..., n-1.  Two sorted lists of m pairs first
+    differ where one has more copies of a slot, and that one is the
+    smaller; so the least list is the greatest count vector read row by row.
+
+    Labels are given in order.  Rows 0..k-1 are greatest only when the
+    unlabelled vertices sit in an ordered partition, each earlier row
+    splitting every cell by multiplicity to its vertex, descending.  Label
+    k goes to a vertex of the first cell, which fixes row k.  Only the
+    vertices that give the greatest row k are tried further; they tie on
+    rows 0..k, but later rows can tell them apart, so each of them branches.
+    A branch whose rows fall below the best complete labelling stops.
+    """
+    return _canonical(g.vertex_count, [(u, v) for _, u, v in g.edges])
+
+
+def _canonical(n, pairs):
+    """`canonical_form` of the graph on n vertices with these end pairs."""
+    mult = [[0] * n for _ in range(n)]
+    for u, v in pairs:
+        mult[u][v] += 1
+        if u != v:
+            mult[v][u] += 1
+    best = []  # the rows of the best complete labelling so far
+
+    def search(cells, rows):
+        nonlocal best
+        if not cells:
+            best = max(best, rows)
+            return
+        first, rest = cells[0], cells[1:]
+        top, options = None, []
+        for v in first:
+            to_v = mult[v]
+            row, split = [to_v[v]], []
+            for cell in ([w for w in first if w != v], *rest):
+                groups = {}
+                for w in cell:
+                    groups.setdefault(to_v[w], []).append(w)
+                for count in sorted(groups, reverse=True):
+                    split.append(groups[count])
+                    row += [count] * len(groups[count])
+            if top is None or row > top:
+                top, options = row, [split]
+            elif row == top:
+                options.append(split)
+        rows = rows + [top]
+        if rows < best[:len(rows)]:
+            return
+        for split in options:
+            search(split, rows)
+
+    search([list(range(n))], [])
+    key = []
+    for k, row in enumerate(best):
+        for j, count in enumerate(row):
+            key += [(k, k + j)] * count
+    return (n, tuple(key))
+
+
+def _connects(n, pairs):
+    """Whether the end pairs join all n vertices into one component."""
+    roots = list(range(n))
+    parts = n
+    for u, v in pairs:
+        while roots[u] != u:
+            u = roots[u]
+        while roots[v] != v:
+            v = roots[v]
+        if u != v:
+            roots[u] = v
+            parts -= 1
+    return parts == 1
 
 
 def connected_multigraphs(max_edges, max_vertices=None):
@@ -56,10 +125,12 @@ def connected_multigraphs(max_edges, max_vertices=None):
         for n in range(1, n_cap + 1):
             slots = [(u, v) for u in range(n) for v in range(u, n)]
             for combo in combinations_with_replacement(slots, m):
-                edges = [(i, u, v) for i, (u, v) in enumerate(combo)]
-                g = gr.Graph(n, edges)
-                if gr.is_connected(g):
-                    found.setdefault((n, m, canonical_form(g)), g)
+                if not _connects(n, combo):
+                    continue
+                key = (n, m, _canonical(n, combo))
+                if key not in found:
+                    found[key] = gr.Graph(n, [(i, u, v) for i, (u, v)
+                                              in enumerate(combo)])
     return [found[key] for key in sorted(found)]
 
 
@@ -70,14 +141,13 @@ def connected_simple_graphs(n_vertices, max_edges):
     seen = set()
     for m in range(n_vertices - 1, min(len(pairs), max_edges) + 1):
         for combo in combinations(pairs, m):
-            edges = [(i, u, v) for i, (u, v) in enumerate(combo)]
-            g = gr.Graph(n_vertices, edges)
-            if not gr.is_connected(g):
+            if not _connects(n_vertices, combo):
                 continue
-            key = canonical_form(g)
+            key = _canonical(n_vertices, combo)
             if key not in seen:
                 seen.add(key)
-                out.append(g)
+                out.append(gr.Graph(n_vertices, [(i, u, v) for i, (u, v)
+                                                 in enumerate(combo)]))
     return out
 
 

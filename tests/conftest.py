@@ -1,7 +1,7 @@
 import pathlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -112,6 +112,22 @@ def moved_ids(g, rng):
 def renamed(g, new):
     """g with each edge id e renamed to new[e]."""
     return gr.Graph(g.vertex_count, [(new[e], u, v) for e, u, v in g.edges])
+
+
+def brute_canonical_form(g):
+    """The reference for `harness.canonical_form`: every vertex permutation.
+
+    The least over all n! relabellings of the sorted (min, max) edge list.
+    """
+    n = g.vertex_count
+    best = None
+    for perm in permutations(range(n)):
+        key = tuple(sorted(
+            (min(perm[u], perm[v]), max(perm[u], perm[v]))
+            for _, u, v in g.edges))
+        if best is None or key < best:
+            best = key
+    return (n, best)
 
 
 @pytest.fixture(scope="session")

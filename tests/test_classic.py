@@ -411,13 +411,16 @@ def test_dfs_active_rejects_non_closed_input():
 
 
 def test_dfs_rejects_multigraphs(g4):
-    with pytest.raises(ValueError):
-        dfs_forest(g4, 0)
-    with pytest.raises(ValueError):
-        dfs_order_map(g4, 0)
+    # A graph keeps its refusal, so a second call must still raise it.
     two_loops = gr.Graph(1, [(0, 0, 0), (1, 0, 0)])
-    with pytest.raises(ValueError):
-        dfs_forest(two_loops, 0)
+    calls = [dfs_forest, dfs_order_map, dfs_active, dfs_forest,
+             lambda g, _: order_map_oracle("dfs", g)]
+    for g in (g4, two_loops):
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call(g, 0)
+            assert str(exc.value) == (
+                "DFS activity needs a graph without multiple edges")
 
 
 def test_dfs_order_map_fixture():

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,8 +11,9 @@ from tutte_activities import graph as gr
 from tutte_activities import classic, cli, engine, harness
 from tutte_activities.harness import (canonical_form, connected_multigraphs,
                                       crosscheck)
-from conftest import (FIXTURES, ROOT, complete, fixture_graph, fixture_map,
-                      graph_path, grid, map_path, permuted)
+from conftest import (FIXTURES, ROOT, brute_canonical_form, complete,
+                      fixture_graph, fixture_map, graph_path, grid, map_path,
+                      permuted)
 
 TREE_FILE = FIXTURES / "trees" / "parallel_triangle.tree"
 
@@ -104,6 +107,46 @@ def test_connected_multigraph_enumeration():
     keys = {canonical_form(g) for g in graphs}
     assert len(keys) == 6
     assert all(gr.is_connected(g) for g in graphs)
+
+
+def test_canonical_form_matches_brute_force_on_relabelled_graphs(corpus):
+    for seed, g in enumerate(connected_multigraphs(4) + corpus):
+        h = permuted(g, seed)
+        assert canonical_form(g) == canonical_form(h) == \
+            brute_canonical_form(h), g
+
+
+def test_canonical_form_matches_brute_force_on_random_graphs():
+    rng = random.Random(26)
+    kinds = set()
+    for _ in range(1000):  # ties that need branching are rare in these
+        n, m = rng.randint(1, 6), rng.randint(0, 9)
+        ends = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+        g = gr.Graph(n, [(i, u, v) for i, (u, v)
+                         in zip(rng.sample(range(4 * m + 1), m), ends)])
+        pairs = [(min(u, v), max(u, v)) for u, v in ends]
+        kinds.update(kind for kind, present in (
+            ("loop", any(u == v for u, v in ends)),
+            ("parallel", len(set(pairs)) < m),
+            ("isolated", len({w for p in ends for w in p}) < n),
+            ("disconnected", not gr.is_connected(g))) if present)
+        assert canonical_form(g) == brute_canonical_form(g), g
+    assert kinds == {"loop", "parallel", "isolated", "disconnected"}
+
+
+def _repr_sha256(graphs):
+    return hashlib.sha256(repr(graphs).encode()).hexdigest()
+
+
+def test_generators_keep_their_representatives(corpus):
+    graphs = connected_multigraphs(5)
+    assert [sum(g.edge_count() == m for g in graphs)
+            for m in range(1, 6)] == [2, 4, 11, 30, 95]
+    # The outputs of the n!-permutation canonical form, hashed.
+    assert _repr_sha256(graphs) == (
+        "beab331d08ade510da51ce86d7516ebb9d8c2d9af049ddfd27e2488ef65353b9")
+    assert _repr_sha256(corpus) == (
+        "0f14613e019b4ca89e851a0062e8bb129cc33dfb6b3c562139cc86808421086c")
 
 
 def test_crosscheck_over_all_small_multigraphs():
@@ -357,6 +400,18 @@ def _one_error_line(out):
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
     return lines[0]
+
+
+def test_cli_huge_edge_id_is_one_error_line(tmp_path):
+    # Every mask is as wide as the largest id: this graph once ended the
+    # random oracle's walk in a MemoryError.
+    huge = tmp_path / "huge.graph"
+    huge.write_text("vertices 2\nedge 0 0 1\nedge 4000000000 0 1\n")
+    out = run_cli("tutte", "--graph", str(huge), "--method", "activity",
+                  "--oracle", "random:1")
+    assert _one_error_line(out) == (
+        f"error: {huge}: edge id 4000000000 is above the largest id, 1048576")
+    assert out.stdout == ""
 
 
 def test_cli_conjecture_scan_over_budget(tmp_path):

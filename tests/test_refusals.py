@@ -32,6 +32,8 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
      "entry for tree 0x3 is not an edge permutation"),
     (lambda: gr.Graph(0, []), "vertex_count must be positive"),
     (lambda: gr.Graph(2, [(-1, 0, 1)]), "edge ids must be non-negative"),
+    (lambda: gr.Graph(2, [(0, 0, 1), (4_000_000_000, 0, 1)]),
+     "edge id 4000000000 is above the largest id, 1048576"),
     (lambda: gr.tree_path(gr.Graph(3, [(0, 0, 1), (1, 1, 2)]), 0b01, 0, 2),
      "endpoints not connected in the given tree"),
     (lambda: gr.fundamental_cocycle(gr.Graph(2, [(0, 0, 1), (1, 1, 1)]),
@@ -45,9 +47,9 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
 ], ids=["odd-half-edges", "sigma-not-a-permutation", "root-out-of-range",
         "repeated-names", "unknown-edge-name", "delete-last-edge",
         "unknown-family", "not-its-own-dfs-forest", "trie-not-a-permutation",
-        "no-vertices", "negative-id", "tree-path-across-components",
-        "cocycle-of-a-loop", "negative-power", "bad-machine-form-line",
-        "prefix-not-in-table"])
+        "no-vertices", "negative-id", "huge-id",
+        "tree-path-across-components", "cocycle-of-a-loop", "negative-power",
+        "bad-machine-form-line", "prefix-not-in-table"])
 def test_refusal_names_its_cause(call, message):
     with pytest.raises(ValueError) as exc:
         call()
