@@ -11,7 +11,7 @@ from pathlib import Path
 from tutte_activities import (blossoming_active, blossoming_internal_active,
                               dfs_active, dfs_order_map, embedding_active,
                               from_linear_order, load_graph, load_map,
-                              order_map_oracle, ordering_active,
+                              make_oracle, ordering_active,
                               spanning_trees, tau)
 from tutte_activities import graph as gr
 from tutte_activities.classic import blossoming_first_visit_order
@@ -38,7 +38,7 @@ print("  same from the level-constant oracle:",
 # mirror map's tour orders
 m = load_map(FIXTURES / "maps" / "parallel_triangle.map")
 gm = m.underlying_graph()
-embedding_oracle = order_map_oracle("embedding", gm, m)
+embedding_oracle = make_oracle("embedding", gm, m)
 agree = all(delta_activity(gm, embedding_oracle, t) == embedding_active(m, t)
             for t in spanning_trees(gm))
 print("\nembedding activity equals its oracle's activity on every tree:", agree)
@@ -65,6 +65,6 @@ tree = gr.edge_set([0, 2, 4])
 print("\nmarking-DFS edge order on {a,c,e}:",
       [" abcde"[e + 1] for e in dfs_order_map(s, tree)])
 print("DFS-active externals:", ["abcde"[e] for e in gr.edge_ids(dfs_active(s, tree))])
-dfs_oracle = order_map_oracle("dfs", s)
+dfs_oracle = make_oracle("dfs", s)
 print("  same external set from the DFS oracle:",
       delta_activity(s, dfs_oracle, tree)[1] == dfs_active(s, tree))

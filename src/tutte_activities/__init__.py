@@ -9,16 +9,16 @@ from .comb_map import (CombMap, format_map, genus, load_map, map_contract,
                        map_delete, mirror, motion_function, parse_map,
                        save_map, tour_order)
 from .poly import BivariatePoly
-from .decision import (DecisionOracle, ExplicitTreeOracle,
-                       check_tree_compatible, from_linear_order, from_order_map,
-                       load_decision_tree, parse_decision_tree, random_oracle)
+from .decision import (DecisionOracle, ExplicitTreeOracle, from_linear_order,
+                       from_order_map, load_decision_tree, parse_decision_tree,
+                       random_oracle)
 from .engine import (decision_walk, delta_activity, delta_ordering,
                      forest_active, forest_walk, internal_active_no_contract,
                      run_history)
 from .classic import (blossoming_active, blossoming_charge_check,
                       blossoming_internal_active, blossoming_subtree_charge,
                       dfs_active, dfs_forest, dfs_order_map, embedding_active,
-                      order_map_oracle, ordering_active, tau)
+                      make_oracle, ordering_active, tau)
 from .tutte import (tutte_connected, tutte_definitional, tutte_delcon,
                     tutte_delta, tutte_dfs, tutte_forest,
                     tutte_forest_activity, tutte_half)

@@ -5,15 +5,18 @@ linear edge order.  Embedding activity: minimal for the tour order of the
 spanning tree.  Blossoming activity: defined through a pruning walk that
 turns the map into a tree.  DFS activity: greatest-neighbor depth-first
 search on simple graphs.  Each family is also realizable through a decision
-oracle (`order_map_oracle`; the DFS one replays the marking DFS per prefix);
-the native definitions live here and stay the references.
+oracle (the DFS one replays the marking DFS per prefix); the native
+definitions live here and stay the references.  `make_oracle` reads every
+oracle spec, the classical ones and `linear`, `random:SEED` and `file:PATH`,
+for the command line and the crosscheck alike.
 """
 
 from __future__ import annotations
 
 from . import graph as gr
 from .comb_map import CombMap, mirror, tour_order
-from .decision import RIGHT, DecisionOracle, OrderMapOracle
+from .decision import (RIGHT, DecisionOracle, LinearOrderOracle,
+                       OrderMapOracle, RandomOracle, load_decision_tree)
 from .engine import edge_kind
 
 
@@ -387,9 +390,7 @@ def dfs_order_map(g, subgraph_mask):
     return dfs_run(g, subgraph_mask).edge_order
 
 
-# -- the classical families as order-map oracles -------------------------------
-
-ORDER_MAP_FAMILIES = ("embedding", "blossoming", "dfs")
+# -- oracle specs ------------------------------------------------------------
 
 
 class DfsOracle(DecisionOracle):
@@ -413,26 +414,45 @@ class DfsOracle(DecisionOracle):
         return _marking_dfs(self.incident, inside).edge_order[len(prefix)]
 
 
-def order_map_oracle(family, g, cmap=None):
-    """The decision oracle realizing a classical family's order map.
+def make_oracle(spec, g, cmap=None):
+    """The decision oracle a spec names; a bad spec raises ValueError.
 
-    `embedding` orders each spanning tree of g by its tour in the mirror of
-    `cmap`, `blossoming` by the first visits of the pruning walk on `cmap`
-    (both need the map, whose underlying graph g is), and `dfs` by the
-    marking DFS of the simple graph g, filled lazily (`DfsOracle`).
+    `linear` is the level-constant oracle of the ascending edge ids and
+    `linear:IDS` that of the given order; `random:SEED` is the seeded
+    `RandomOracle` and `file:PATH` the explicit tree in that file.  The classical families realize their order
+    maps: `embedding` orders each spanning tree of g by its tour in the
+    mirror of `cmap`, `blossoming` by the first visits of the pruning walk
+    on `cmap` (both need the map, whose underlying graph g is), and `dfs` by
+    the marking DFS of the simple graph g, filled lazily (`DfsOracle`).
     """
-    if family not in ORDER_MAP_FAMILIES:
-        raise ValueError(f"unknown order-map family {family!r}")
-    if family == "dfs":
+    if spec == "linear":
+        return LinearOrderOracle(g.edge_ids)
+    if spec == "dfs":
         return DfsOracle(g)
-    if cmap is None:
-        raise ValueError(f"the {family} order map needs a map")
-    if cmap.underlying_graph() != g:
-        raise ValueError("the map must embed the graph")
-    trees = gr.spanning_trees(g)
-    if family == "embedding":
-        mm = mirror(cmap)
-        table = {t: tour_order(mm, t)[1] for t in trees}
-    else:
-        table = {t: blossoming_first_visit_order(cmap, t) for t in trees}
-    return OrderMapOracle(g, table)
+    if spec in ("embedding", "blossoming"):
+        if cmap is None:
+            raise ValueError(f"the {spec} order map needs a map")
+        if cmap.underlying_graph() != g:
+            raise ValueError("the map must embed the graph")
+        trees = gr.spanning_trees(g)
+        if spec == "embedding":
+            mm = mirror(cmap)
+            table = {t: tour_order(mm, t)[1] for t in trees}
+        else:
+            table = {t: blossoming_first_visit_order(cmap, t) for t in trees}
+        return OrderMapOracle(g, table)
+    kind, _, arg = spec.partition(":")
+    ids = arg.split(",")
+    if kind == "linear" and all(t.isdecimal() for t in ids):
+        order = [int(t) for t in ids]
+        if sorted(order) != sorted(g.edge_ids):
+            raise ValueError("order must be a permutation of the edges")
+        return LinearOrderOracle(order)
+    if kind == "random" and arg.removeprefix("-").isdecimal():
+        return RandomOracle(g.edge_ids, int(arg))
+    if kind == "file" and arg:
+        try:
+            return load_decision_tree(arg, g.edge_ids)
+        except ValueError as exc:  # name the file the error is in
+            raise ValueError(f"{arg}: {exc}") from None
+    raise ValueError(f"unknown oracle spec {spec!r}")

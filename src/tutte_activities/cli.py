@@ -13,10 +13,9 @@ import functools
 import sys
 
 from . import graph as gr
-from .classic import (ORDER_MAP_FAMILIES, blossoming_active, embedding_active,
-                      order_map_oracle, ordering_active)
+from .classic import (blossoming_active, embedding_active, make_oracle,
+                      ordering_active)
 from .comb_map import load_map
-from .decision import from_linear_order, load_decision_tree, random_oracle
 from .engine import delta_activity, format_history, run_history
 from .harness import crosscheck
 from .partition import class_table, partition
@@ -67,32 +66,12 @@ def _load_inputs(args):
     raise ValueError("need --graph or --map")
 
 
-def _load(loader, path, *rest):
+def _load(loader, path):
     """Read an input file; a parse error names the file it is in."""
     try:
-        return loader(path, *rest)
+        return loader(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _make_oracle(spec, g, m):
-    """The oracle an --oracle spec names; a bad spec raises ValueError."""
-    if spec is None or spec == "linear":
-        return from_linear_order(list(g.edge_ids))
-    if spec in ORDER_MAP_FAMILIES:
-        return order_map_oracle(spec, g, m)
-    kind, _, arg = spec.partition(":")
-    ids = arg.split(",")
-    if kind == "linear" and all(t.isdecimal() for t in ids):
-        order = [int(t) for t in ids]
-        if sorted(order) != sorted(g.edge_ids):
-            raise ValueError("order must be a permutation of the edges")
-        return from_linear_order(order)
-    if kind == "random" and arg.removeprefix("-").isdecimal():
-        return random_oracle(g, int(arg))
-    if kind == "file" and arg:
-        return _load(load_decision_tree, arg, g.edge_ids)
-    raise ValueError(f"unknown oracle spec {spec!r}")
 
 
 def _cmd_tutte(args):
@@ -105,7 +84,7 @@ def _cmd_tutte(args):
     elif method == "dfs":
         poly = tutte_dfs(g)
     else:
-        oracle = _make_oracle(args.oracle, g, m)
+        oracle = make_oracle(args.oracle, g, m)
         fn = {
             "activity": tutte_delta,
             "forest": tutte_forest,
@@ -125,7 +104,7 @@ def _cmd_activity(args):
     elif args.oracle == "blossoming" and m is not None:
         internal, external = blossoming_active(m, tree)
     else:
-        oracle = _make_oracle(args.oracle, g, m)
+        oracle = make_oracle(args.oracle, g, m)
         internal, external = delta_activity(g, oracle, tree)
     print(f"internal: {_format_edge_set(internal)}")
     print(f"external: {_format_edge_set(external)}")
@@ -142,7 +121,7 @@ def _cmd_ordering(args):
 
 def _cmd_history(args):
     g, m = _load_inputs(args)
-    oracle = _make_oracle(args.oracle, g, m)
+    oracle = make_oracle(args.oracle, g, m)
     subgraph = _parse_edge_set(args.tree, g)
     history = run_history(g, oracle, subgraph)
     name = m.edge_name if m is not None else str
@@ -151,7 +130,7 @@ def _cmd_history(args):
 
 def _cmd_partition(args):
     g, m = _load_inputs(args)
-    oracle = _make_oracle(args.oracle, g, m)
+    oracle = make_oracle(args.oracle, g, m)
     if args.dot:
         print(_partition_dot(g, oracle))
         return
@@ -185,10 +164,9 @@ def _partition_dot(g, oracle):
 
 def _cmd_crosscheck(args):
     g, m = _load_inputs(args)
-    oracles = None
-    if args.oracle:
-        oracles = {args.oracle: _make_oracle(args.oracle, g, m)}
-    report = crosscheck(g, oracles=oracles, comb_map=m,
+    if args.seeds < 0:
+        raise ValueError(f"--seeds: {args.seeds} is negative")
+    report = crosscheck(g, spec=args.oracle, comb_map=m,
                         seeds=range(args.seeds))
     print(report.text())
     if not report.ok:
@@ -217,7 +195,7 @@ def _parser():
         p.add_argument("--map", help="map file (provides the graph too)")
         if oracle:
             p.add_argument(
-                "--oracle",
+                "--oracle", default="linear",
                 help="file:PATH | linear | linear:IDS | random:SEED | "
                      "embedding | blossoming | dfs")
 

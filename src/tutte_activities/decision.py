@@ -233,14 +233,6 @@ def order_map_trie(g: Graph, table):
     return trie, None
 
 
-def check_tree_compatible(g: Graph, table):
-    """Return None when the order map is realizable by one decision tree.
-
-    Otherwise return the witness (tree, tree', k) of `order_map_trie`.
-    """
-    return order_map_trie(g, table)[1]
-
-
 # -- s-expression file format ----------------------------------------------------
 #
 # `(2 (1 (0 (3) (3)) (0 (3) (3))) (3 (1 (0) (0)) (0 (1) (1))))`

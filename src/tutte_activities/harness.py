@@ -2,12 +2,15 @@
 
 The crosscheck runs every polynomial route and the structural theorems on
 one graph (optionally with an embedding) and reports one line per check,
-with the first counterexample when something fails.  Each fact the checks
-share is computed once, such as one typing table per oracle.  The generators
-enumerate small connected multigraphs up to isomorphism for exhaustive
-testing.  Isomorphs are rejected by an exact canonical form, found by a
-labelling search that branches only where vertices tie (`canonical_form`);
-all 470 connected multigraphs with at most six edges come out in seconds.
+with the first counterexample when something fails.  Every oracle it can
+name, the classical families' included, is built from its spec by
+`classic.make_oracle` and takes the same per-oracle checks.  Each fact the
+checks share is computed once, such as one typing table per oracle.  The
+generators enumerate small connected multigraphs up to isomorphism for
+exhaustive testing.  Isomorphs are rejected by an exact canonical form,
+found by a labelling search that branches only where vertices tie
+(`canonical_form`); all 470 connected multigraphs with at most six edges
+come out in seconds.
 """
 
 from __future__ import annotations
@@ -16,17 +19,16 @@ from itertools import combinations, combinations_with_replacement
 
 from . import graph as gr
 from .classic import (blossoming_active, blossoming_internal_active,
-                      dfs_active, dfs_active_by_inversion, dfs_forest,
-                      dfs_order_map, embedding_active, maximal_active,
-                      order_map_oracle, ordering_active, tau)
+                      dfs_active, dfs_active_by_inversion, dfs_order_map,
+                      embedding_active, make_oracle, maximal_active,
+                      ordering_active, tau)
 from .comb_map import CombMap, mirror, tour_order
-from .decision import from_linear_order, from_order_map, random_oracle
 from .engine import (TYPE_I, TYPE_L, TYPE_SE, TYPE_SI, decision_walk,
-                     delta_activity, delta_ordering, forest_walk,
-                     internal_active_no_contract, run_history, type_masks)
+                     delta_ordering, forest_walk, internal_active_no_contract,
+                     run_history, type_masks)
 from .partition import SubgraphInterval, class_table
 from .tutte import (tutte_definitional, tutte_delcon, tutte_delta,
-                    tutte_dfs, tutte_forest_activity)
+                    tutte_forest_activity)
 
 
 # -- canonical forms and generators -------------------------------------------
@@ -276,41 +278,32 @@ def _structural_checks(results, g, trees, name, oracle):
     return types  # the type masks of every subgraph
 
 
-def _map_checks(results, m: CombMap, g, ref, trees, forests):
+def _map_checks(results, m: CombMap, g, trees, forests, typings):
     embedded = {t: embedding_active(m, t) for t in trees}
     pruned = {t: blossoming_internal_active(m, t) for t in trees}
     mm = mirror(m)
-    mirror_orders = {t: tour_order(mm, t)[1] for t in trees}
 
     def embedding_vs_mirror():
         for t in trees:
-            assert embedded[t] == maximal_active(g, mirror_orders[t], t), (
+            assert embedded[t] == maximal_active(g, tour_order(mm, t)[1], t), (
                 f"mirror max rule diverges on tree {t:#x}")
     _check(results, "embedding-mirror-max", embedding_vs_mirror)
 
-    # The embedding family's oracle (`order_map_oracle("embedding", ...)`),
-    # built from the mirror tour orders above.
-    embedding = from_order_map(g, mirror_orders)
+    def activities(name, t):  # (internal, external) actives from the typing
+        return typings[name][t][TYPE_I], typings[name][t][TYPE_L]
 
     def embedding_as_delta():
         for t in trees:
-            assert delta_activity(g, embedding, t) == embedded[t], (
+            assert activities("embedding", t) == embedded[t], (
                 f"embedding route diverges on tree {t:#x}")
     _check(results, "embedding-as-decision-oracle", embedding_as_delta)
 
-    def embedding_descriptive():
-        value = tutte_delta(g, embedding)
-        assert value == ref, f"embedding activity sums to {value}, not {ref}"
-    _check(results, "embedding-descriptive", embedding_descriptive)
-
     def blossoming_checks():
-        oracle = order_map_oracle("blossoming", g, m)
         for t in trees:
             full = blossoming_active(m, t)
             assert full[0] == pruned[t], f"pruning rule internal mismatch {t:#x}"
-            assert delta_activity(g, oracle, t) == full, (
+            assert activities("blossoming", t) == full, (
                 f"blossoming oracle mismatch on {t:#x}")
-        assert tutte_delta(g, oracle) == ref
     _check(results, "blossoming-as-decision-oracle", blossoming_checks)
 
     def tau_preimage():
@@ -323,7 +316,7 @@ def _map_checks(results, m: CombMap, g, ref, trees, forests):
     _check(results, "pruning-preimage-interval", tau_preimage)
 
 
-def _dfs_checks(results, g, ref, trees, forests):
+def _dfs_checks(results, g, oracle, trees, forests):
     actives = {f: dfs_active(g, f) for f in forests}
 
     def active_rules():
@@ -332,10 +325,9 @@ def _dfs_checks(results, g, ref, trees, forests):
                 f"inversion rule differs on forest {f:#x}")
     _check(results, "dfs-inversion-rule", active_rules)
 
-    # Every oracle's forest-activity sum is the polynomial, so the DFS route
-    # is checked where it rests: the oracle's forest rule and visit orders.
+    # Every oracle's forest-activity sum is the polynomial, so the DFS oracle
+    # is checked against the native rule: its forest actives and visit orders.
     def as_oracle():
-        oracle = order_map_oracle("dfs", g)
         for f, active in forest_walk(g, oracle):
             assert active == actives[f], (
                 f"dfs actives differ on forest {f:#x}")
@@ -344,24 +336,29 @@ def _dfs_checks(results, g, ref, trees, forests):
                 f"dfs visit order differs on tree {t:#x}")
     _check(results, "dfs-as-decision-oracle", as_oracle)
 
-    def descriptive():
-        value = tutte_dfs(g)
-        assert value == ref, f"dfs route gave {value}, not {ref}"
-    _check(results, "dfs-descriptive", descriptive)
 
-
-def crosscheck(g, oracles=None, comb_map=None, seeds=range(3)):
+def crosscheck(g, spec=None, comb_map=None, seeds=range(3)):
     """Run every route and theorem on one graph; return a report.
 
-    The oracles are `linear`, `random:<s>` per seed and any named `oracles`.
+    Each oracle, built by `make_oracle`, takes the same per-oracle checks:
+    `linear`, `random:<s>` per seed, `embedding` and `blossoming` when the
+    map `comb_map` is given (it must embed g), `dfs` unless g has multiple
+    edges, and the oracle that `spec` names.  The native rules of the
+    classical families are then checked against their oracles' typings.
     """
-    if comb_map is not None and comb_map.underlying_graph() != g:
-        raise ValueError("the map must embed the graph")
+    names = ["linear", *(f"random:{s}" for s in seeds)]
+    if comb_map is not None:
+        names += ["embedding", "blossoming"]
+    if spec is not None:
+        names.append(spec)
+    oracles = {name: make_oracle(name, g, comb_map)
+               for name in dict.fromkeys(names)}
+    if "dfs" not in oracles:
+        try:
+            oracles["dfs"] = make_oracle("dfs", g)
+        except ValueError:
+            pass  # multiple edges: the DFS family does not apply
     results = []
-    oracles = dict(oracles or {})
-    oracles["linear"] = from_linear_order(list(g.edge_ids))
-    for s in seeds:
-        oracles[f"random:{s}"] = random_oracle(g, s)
 
     reference = tutte_definitional(g)
     trees = gr.spanning_trees(g)
@@ -395,11 +392,7 @@ def crosscheck(g, oracles=None, comb_map=None, seeds=range(3)):
     _check(results, "ordering-reduction", ordering_reduction)
 
     if comb_map is not None:
-        _map_checks(results, comb_map, g, reference, trees, forests)
-    try:
-        dfs_forest(g, 0)
-    except ValueError:
-        pass  # multiple edges: the DFS family does not apply
-    else:
-        _dfs_checks(results, g, reference, trees, forests)
+        _map_checks(results, comb_map, g, trees, forests, typings)
+    if "dfs" in oracles:
+        _dfs_checks(results, g, oracles["dfs"], trees, forests)
     return CrosscheckReport(results)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import graph as gr
-from .classic import order_map_oracle
+from .classic import DfsOracle
 from .decision import LinearOrderOracle
 from .engine import decision_walk, forest_walk, layered_pass
 from .poly import BivariatePoly
@@ -201,4 +201,4 @@ def tutte_forest_activity(g, oracle) -> BivariatePoly:
 
 def tutte_dfs(g) -> BivariatePoly:
     """Sum (x-1)^(cc(F)-1) y^|DFS-active(F)| over the DFS oracle's forests."""
-    return tutte_forest_activity(g, order_map_oracle("dfs", g))
+    return tutte_forest_activity(g, DfsOracle(g))

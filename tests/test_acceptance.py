@@ -20,9 +20,8 @@ from tutte_activities.classic import (blossoming_active,
                                       dfs_run, embedding_active, maximal_active,
                                       ordering_active, prune_run, tau)
 from tutte_activities.comb_map import mirror, tour_order
-from tutte_activities.decision import (check_tree_compatible,
-                                       from_linear_order, from_order_map,
-                                       random_oracle)
+from tutte_activities.decision import (from_linear_order, from_order_map,
+                                       order_map_trie, random_oracle)
 from tutte_activities.engine import (DIRECTION_OF_TYPE, delta_activity,
                                      delta_ordering, forest_active,
                                      run_history, type_masks)
@@ -346,7 +345,7 @@ def test_criterion_5_micro_facts(g4, d4, embedding_map, pruning_map):
 
 def test_criterion_6_tree_compatibility(g4, d4, order_map_table_g4,
                                         embedding_map):
-    assert check_tree_compatible(g4, order_map_table_g4) is None
+    assert order_map_trie(g4, order_map_table_g4)[1] is None
     oracle = from_order_map(g4, order_map_table_g4)
     for t, order in order_map_table_g4.items():
         assert delta_ordering(g4, oracle, t) == list(order)
@@ -355,7 +354,7 @@ def test_criterion_6_tree_compatibility(g4, d4, order_map_table_g4,
     g = embedding_map.underlying_graph()
     reversed_table = {t: list(reversed(tour_order(embedding_map, t)[1]))
                       for t in gr.spanning_trees(g)}
-    witness = check_tree_compatible(g, reversed_table)
+    witness = order_map_trie(g, reversed_table)[1]
     assert witness is not None and witness[2] == 0
     report(6, f"order map realized; reversed tour map rejected "
               f"with witness {witness}")

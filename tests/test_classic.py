@@ -10,7 +10,7 @@ from tutte_activities.classic import (_fundamental_sets, blossoming_active,
                                       blossoming_subtree_charge, dfs_active,
                                       dfs_active_by_inversion, dfs_forest,
                                       dfs_order_map, dfs_run, embedding_active,
-                                      maximal_active, order_map_oracle,
+                                      make_oracle, maximal_active,
                                       ordering_active, prune_run, tau)
 from tutte_activities.comb_map import genus, mirror, parse_map, tour_order
 from tutte_activities.decision import (LEFT, RIGHT, DecisionOracle,
@@ -414,7 +414,7 @@ def test_dfs_rejects_multigraphs(g4):
     # A graph keeps its refusal, so a second call must still raise it.
     two_loops = gr.Graph(1, [(0, 0, 0), (1, 0, 0)])
     calls = [dfs_forest, dfs_order_map, dfs_active, dfs_forest,
-             lambda g, _: order_map_oracle("dfs", g)]
+             lambda g, _: make_oracle("dfs", g)]
     for g in (g4, two_loops):
         for call in calls:
             with pytest.raises(ValueError) as exc:
@@ -431,11 +431,11 @@ def test_dfs_order_map_fixture():
 
 
 def test_dfs_order_map_is_tree_compatible():
-    from tutte_activities.decision import check_tree_compatible
+    from tutte_activities.decision import order_map_trie
     for name in ["dfs_six", "dfs_five", "dfs_forest_counterexample"]:
         g = fixture_graph(name)
         table = {t: dfs_order_map(g, t) for t in gr.spanning_trees(g)}
-        assert check_tree_compatible(g, table) is None
+        assert order_map_trie(g, table)[1] is None
 
 
 @pytest.mark.parametrize("name", ["dfs_six", "dfs_five",
@@ -503,7 +503,7 @@ def test_dfs_activity_is_the_forest_rule_of_the_marking_dfs_tree(corpus):
         expected = {f: dfs_active(g, f) for f in forests}
         assert dict(forest_walk(g, oracle)) == expected, g
         # The lazy DFS oracle is that tree: its walk fills exactly the table.
-        lazy = order_map_oracle("dfs", g)
+        lazy = make_oracle("dfs", g)
         assert dict(forest_walk(g, lazy)) == expected, g
         assert lazy.table == table, g
 
@@ -555,6 +555,6 @@ def test_order_map_oracle_rejects_a_map_of_another_graph(family):
                            for eid, u, v in g.edges])
     assert shifted != g
     with pytest.raises(ValueError) as exc:
-        order_map_oracle(family, shifted, cmap)
+        make_oracle(family, shifted, cmap)
     assert str(exc.value) == "the map must embed the graph"
-    assert order_map_oracle(family, g, cmap).edge_ids == g.edge_ids
+    assert make_oracle(family, g, cmap).edge_ids == g.edge_ids

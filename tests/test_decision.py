@@ -5,9 +5,9 @@ import pytest
 from tutte_activities import graph as gr
 from tutte_activities.classic import DfsOracle, dfs_order_map
 from tutte_activities.comb_map import mirror, tour_order
-from tutte_activities.decision import (check_tree_compatible,
-                                       format_decision_tree, from_linear_order,
-                                       from_order_map, parse_decision_tree,
+from tutte_activities.decision import (format_decision_tree,
+                                       from_linear_order, from_order_map,
+                                       order_map_trie, parse_decision_tree,
                                        random_oracle, ExplicitTreeOracle,
                                        RandomOracle)
 from tutte_activities.engine import decision_walk, delta_ordering, forest_walk
@@ -77,26 +77,26 @@ def assert_witness(table, witness):
 
 
 def test_order_map_table_passes_checker(g4, order_map_table_g4):
-    assert check_tree_compatible(g4, order_map_table_g4) is None
+    assert order_map_trie(g4, order_map_table_g4)[1] is None
 
 
 def test_constant_order_map_passes(g4):
     table = {t: (0, 1, 2, 3) for t in gr.spanning_trees(g4)}
-    assert check_tree_compatible(g4, table) is None
+    assert order_map_trie(g4, table)[1] is None
 
 
 def test_incomplete_table_rejected(g4, order_map_table_g4):
     table = dict(order_map_table_g4)
     del table[mask_of("cd")]
     with pytest.raises(ValueError, match="missing"):
-        check_tree_compatible(g4, table)
+        order_map_trie(g4, table)
 
 
 def test_reversed_tour_order_map_rejected(embedding_map):
     g = embedding_map.underlying_graph()
     table = {t: list(reversed(tour_order(embedding_map, t)[1]))
              for t in gr.spanning_trees(g)}
-    witness = check_tree_compatible(g, table)
+    witness = order_map_trie(g, table)[1]
     assert_witness(table, witness)
     assert witness[2] == 0  # already the first visited edge differs
     with pytest.raises(ValueError, match="not tree-compatible"):
@@ -179,7 +179,7 @@ def test_incompatibility_witness_is_a_divergence(corpus):
     for g in corpus[::3]:
         ids = list(g.edge_ids)
         table = {t: rng.sample(ids, len(ids)) for t in gr.spanning_trees(g)}
-        witness = check_tree_compatible(g, table)
+        witness = order_map_trie(g, table)[1]
         if witness is not None:
             assert_witness(table, witness)
             rejected += 1
@@ -210,7 +210,7 @@ def test_orderings_of_any_oracle_form_a_compatible_map():
         for seed in range(3):
             oracle = random_oracle(g, seed)
             table = {t: delta_ordering(g, oracle, t) for t in trees}
-            assert check_tree_compatible(g, table) is None, (name, seed)
+            assert order_map_trie(g, table)[1] is None, (name, seed)
             rebuilt = from_order_map(g, table)
             for t in trees:
                 assert delta_ordering(g, rebuilt, t) == table[t], (name, seed)
@@ -220,7 +220,7 @@ def test_embedding_order_map_via_mirror_is_compatible(embedding_map):
     g = embedding_map.underlying_graph()
     mm = mirror(embedding_map)
     table = {t: tour_order(mm, t)[1] for t in gr.spanning_trees(g)}
-    assert check_tree_compatible(g, table) is None
+    assert order_map_trie(g, table)[1] is None
 
 
 def test_random_oracle_is_deterministic(g4):

@@ -16,11 +16,11 @@ from tutte_activities.classic import (blossoming_active,
                                       blossoming_first_visit_order,
                                       blossoming_internal_active,
                                       blossoming_subtree_charge,
-                                      embedding_active, maximal_active,
-                                      prune_run, tau)
+                                      embedding_active, make_oracle,
+                                      maximal_active, prune_run, tau)
 from tutte_activities.comb_map import CombMap, genus, mirror, tour_order
-from tutte_activities.decision import from_order_map
-from tutte_activities.engine import delta_activity
+from tutte_activities.decision import LEFT, RIGHT, from_order_map
+from tutte_activities.engine import decision_walk, delta_activity
 from tutte_activities.harness import canonical_form, connected_multigraphs
 from tutte_activities.poly import BivariatePoly
 from tutte_activities.tutte import tutte_definitional, tutte_delta
@@ -239,3 +239,53 @@ def test_planar_duality_swaps_x_and_y():
         swapped = BivariatePoly({(j, i): c
                                  for (i, j), c in primal.terms.items()})
         assert tutte_definitional(dual_graph(m)) == swapped, m
+
+
+class Mirrored:
+    """An oracle read through the mirrored prefix: l and r swapped."""
+
+    SWAP = {LEFT: RIGHT, RIGHT: LEFT}
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def next_edge(self, prefix, used=None):
+        return self.oracle.next_edge(tuple(self.SWAP[d] for d in prefix), used)
+
+
+def test_planar_duality_per_leaf(corpus):
+    # On a genus-0 map, deleting e in G contracts e in the dual G*, and a
+    # loop of a minor is an isthmus of the dual minor.  So walking G with O
+    # gives the leaves (T, I, E) exactly when walking G* with O mirrored
+    # gives (E(G) - T, E, I).  `dual_graph` keeps the edge ids.
+    rng = random.Random(27)
+    maps = [fixture_map(path.stem)
+            for path in sorted((FIXTURES / "maps").glob("*.map"))]
+    maps += [seeded_rotation(g, rng) for g in connected_multigraphs(4) + corpus
+             for _ in range(2)]
+    pairs = defaultdict(int)
+    unmirrored_mismatches = 0
+    for m in maps:
+        if genus(m):
+            continue
+        g = m.underlying_graph()
+        g_dual = dual_graph(m)
+        reverse = ",".join(map(str, reversed(g.edge_ids)))
+        for spec in ("linear", f"linear:{reverse}", "random:0", "random:1",
+                     "embedding", "blossoming", "dfs",
+                     f"file:{FIXTURES / 'trees' / 'parallel_triangle.tree'}"):
+            try:
+                oracle = make_oracle(spec, g, m)
+            except ValueError:  # dfs needs a simple graph, the file 4 edges
+                continue
+            expected = sorted((g.full_edge_set() & ~t, external, internal)
+                              for t, internal, external
+                              in decision_walk(g, oracle))
+            assert sorted(decision_walk(g_dual, Mirrored(oracle))) == \
+                expected, (m, spec)
+            pairs[spec.partition(":")[0]] += 1
+            unmirrored_mismatches += \
+                sorted(decision_walk(g_dual, oracle)) != expected
+    assert set(pairs) == {"linear", "random", "embedding", "blossoming",
+                          "dfs", "file"}
+    assert unmirrored_mismatches > 0  # so the mirroring is what makes it hold

@@ -42,7 +42,7 @@ def test_crosscheck_with_map():
 
 
 def test_walk_classes_check_catches_a_typing_that_reads_the_subgraph(
-        g4, monkeypatch):
+        g4, pruning_map, monkeypatch):
     # The forest, connected and half-weight sums collapse to the activity
     # route only if the typing ignores whether an L edge is in S.
     real = harness.run_history
@@ -56,6 +56,14 @@ def test_walk_classes_check_catches_a_typing_that_reads_the_subgraph(
     failed = {r.name for r in report.results if not r.ok}
     assert {"walk-classes[linear]", "walk-classes[random:0]"} <= failed
     assert "tree-activity-sum[linear]" not in failed
+    # The classical families' oracles take the same per-oracle checks.
+    reports = (crosscheck(pruning_map.underlying_graph(), comb_map=pruning_map,
+                          seeds=range(1)),
+               crosscheck(fixture_graph("dfs_five"), seeds=range(1)))
+    failed = {r.name for report in reports for r in report.results
+              if not r.ok}
+    assert {"walk-classes[embedding]", "walk-classes[blossoming]",
+            "walk-classes[dfs]"} <= failed
 
 
 def test_dfs_oracle_check_catches_a_wrong_dfs_oracle(monkeypatch):
@@ -66,7 +74,7 @@ def test_dfs_oracle_check_catches_a_wrong_dfs_oracle(monkeypatch):
     report = crosscheck(fixture_graph("dfs_five"), seeds=range(1))
     failed = {r.name for r in report.results if not r.ok}
     assert "dfs-as-decision-oracle" in failed
-    assert "dfs-descriptive" not in failed
+    assert "forest-activity-sum[dfs]" not in failed
 
 
 def test_ordering_reduction_check_catches_a_wrong_ordering_rule(
@@ -342,6 +350,12 @@ def test_cli_crosscheck_with_file_oracle():
                   "--oracle", f"file:{TREE_FILE}")
     assert out.returncode == 0, out.stderr
     assert f"tree-activity-sum[file:{TREE_FILE}]" in out.stdout
+
+
+def test_cli_crosscheck_refuses_a_negative_seed_count():
+    out = run_cli("crosscheck", "--graph", G4, "--seeds", "-2")
+    assert _one_error_line(out) == "error: --seeds: -2 is negative"
+    assert out.stdout == ""
 
 
 def test_cli_crosscheck_with_map():

@@ -3,7 +3,7 @@
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities.classic import dfs_active_by_inversion, order_map_oracle
+from tutte_activities.classic import dfs_active_by_inversion, make_oracle
 from tutte_activities.comb_map import CombMap, map_delete, parse_map
 from tutte_activities.decision import LEFT, DecisionOracle, order_map_trie
 from tutte_activities.poly import BivariatePoly
@@ -23,8 +23,7 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
     (lambda: parse_map(LOOP_MAP).edge_id_by_name("c"), "no edge named 'c'"),
     (lambda: map_delete(parse_map(LOOP_MAP), 0),
      "operation would leave an empty map"),
-    (lambda: order_map_oracle("bfs", TRIANGLE),
-     "unknown order-map family 'bfs'"),
+    (lambda: make_oracle("bfs", TRIANGLE), "unknown oracle spec 'bfs'"),
     (lambda: dfs_active_by_inversion(TRIANGLE, 0b111),
      "edge set is not its own DFS forest"),
     (lambda: order_map_trie(TRIANGLE, {t: (0, 1, 1) for t
