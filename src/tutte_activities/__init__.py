@@ -2,9 +2,9 @@
 
 from .graph import (Graph, cc, classify_edge, contract, cycl, delete,
                     edge_ids, edge_set, format_graph, fundamental_cocycle,
-                    fundamental_cycle, is_connected, is_forest,
-                    is_spanning_tree, load_graph, parse_graph, save_graph,
-                    spanning_forests, spanning_trees)
+                    fundamental_cycle, is_connected, is_spanning_tree,
+                    load_graph, parse_graph, save_graph, spanning_forests,
+                    spanning_trees)
 from .comb_map import (CombMap, format_map, genus, load_map, map_contract,
                        map_delete, mirror, motion_function, parse_map,
                        save_map, tour_order)

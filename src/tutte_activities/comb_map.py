@@ -14,8 +14,8 @@ could disconnect the map.
 
 from __future__ import annotations
 
-from .graph import (ISTHMUS, Graph, classify_edge, is_spanning_tree,
-                    read_int, read_tokens)
+from .graph import (ISTHMUS, Graph, classify_edge, read_int, read_tokens,
+                    require_spanning_tree)
 
 
 def _cycles_of(perm):
@@ -196,9 +196,7 @@ def motion_function(m: CombMap, tree_mask: int):
     Sends h to sigma(h) when h's edge is external, to sigma(alpha(h)) when
     internal.  For a spanning tree this is a single cycle on all half-edges.
     """
-    g = m.underlying_graph()
-    if not is_spanning_tree(g, tree_mask):
-        raise ValueError("edge set is not a spanning tree of the map")
+    require_spanning_tree(m.underlying_graph(), tree_mask)
     edge = m.edge_of()
     out = []
     for h in range(len(m.sigma)):
@@ -333,7 +331,11 @@ def parse_map(text: str) -> CombMap:
     sigma_cycles = None
     alpha_cycles = None
     root_name = None
+    seen = set()
     for lineno, (key, *body) in read_tokens(text):
+        if key in seen:
+            raise ValueError(f"line {lineno}: repeated {key!r} line")
+        seen.add(key)
         if key == "halfedges":
             if len(body) != 1:
                 raise ValueError(f"line {lineno}: expected 'halfedges 2m'")

@@ -134,8 +134,8 @@ class LinearOrderOracle(DecisionOracle):
         order = tuple(order)
         if len(set(order)) != len(order):
             raise ValueError("order must be a permutation of the edges")
+        super().__init__(order)
         self.order = order
-        self.m = len(order)
 
     def next_edge(self, prefix, used=None):
         self._check_prefix(prefix)

@@ -6,11 +6,13 @@ by `delete` and `contract` keep the surviving ids unchanged, so edge subsets
 subgraphs are identified with their edge sets, represented as plain int
 bitmasks (bit i set = edge i present).
 
-Every component question goes through one union-find, `class_roots`.  The
-typing passes and the layered pass in `engine` do not call it: they carry a
-minor's contracted classes as a root list and merge two classes per
-contraction.  A graph keeps the answer of `is_connected`, the guard of every
-route, once it is known.
+Every component question goes through one union-find, `class_roots`, and so
+do fundamental sets: the cocycle of a tree edge t is the edges across the two
+classes of tree - t, and the cycle of an edge e is e and the tree edges whose
+cocycles e crosses.  The typing passes and the layered pass in `engine` do
+not call it: they carry a minor's contracted classes as a root list and merge
+two classes per contraction.  A graph keeps the answer of `is_connected`, the
+guard of every route, once it is known.
 
 The spanning trees and forests of a connected graph are the leaves of the
 walks in `engine`, which imports this module and so is imported late here.
@@ -189,10 +191,6 @@ def is_connected(g: Graph) -> bool:
     return known
 
 
-def is_forest(g: Graph, mask: int) -> bool:
-    return cycl(g, mask) == 0
-
-
 def is_spanning_tree(g: Graph, mask: int) -> bool:
     return (popcount(mask) == g.vertex_count - 1
             and cc(g, mask) == 1)
@@ -266,46 +264,22 @@ def spanning_forests(g: Graph):
                   forest_walk(g, LinearOrderOracle(g.edge_ids)))
 
 
-def tree_path(g: Graph, tree_mask: int, a: int, b: int):
-    """Edge ids on the unique path from a to b inside the tree."""
-    if a == b:
-        return []
-    adj = {}
-    for eid, u, v in g.edges:
-        if (tree_mask >> eid) & 1 and u != v:
-            adj.setdefault(u, []).append((v, eid))
-            adj.setdefault(v, []).append((u, eid))
-    prev = {a: (None, None)}
-    stack = [a]
-    while stack:
-        w = stack.pop()
-        if w == b:
-            break
-        for nxt, eid in adj.get(w, ()):
-            if nxt not in prev:
-                prev[nxt] = (w, eid)
-                stack.append(nxt)
-    if b not in prev:
-        raise ValueError("endpoints not connected in the given tree")
-    path = []
-    w = b
-    while prev[w][0] is not None:
-        w, eid = prev[w]
-        path.append(eid)
-    path.reverse()
-    return path
-
-
 def fundamental_cycle(g: Graph, tree_mask: int, eid: int) -> int:
-    """Unique cycle in tree + e, for an external edge e (a loop yields {e})."""
+    """Unique cycle in tree + e, for an external edge e (a loop yields {e}).
+
+    Cycles and cocycles are transposes: a tree edge t lies on the cycle of e
+    exactly when e crosses the cocycle of t.
+    """
     if (tree_mask >> eid) & 1:
         raise ValueError(f"edge {eid} is internal; it has no fundamental cycle")
     u, v = g.endpoints(eid)
-    if u == v:
-        return 1 << eid
+    roots = class_roots(g, tree_mask)
+    if roots[u] != roots[v]:
+        raise ValueError("endpoints not connected in the given tree")
     mask = 1 << eid
-    for pid in tree_path(g, tree_mask, u, v):
-        mask |= 1 << pid
+    for tid in edge_ids(tree_mask & g.full_edge_set()):
+        if (fundamental_cocycle(g, tree_mask, tid) >> eid) & 1:
+            mask |= 1 << tid
     return mask
 
 
@@ -358,6 +332,8 @@ def parse_graph(text: str) -> Graph:
     edges = []
     for lineno, tokens in read_tokens(text):
         if tokens[0] == "vertices":
+            if vertex_count is not None:
+                raise ValueError(f"line {lineno}: repeated 'vertices' line")
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected 'vertices N'")
             vertex_count = read_int(lineno, tokens[1])

@@ -49,7 +49,7 @@ def decision_tree_activities(g):
     tiny graphs of the scan.
     """
     # One oracle whose table is swapped per decision tree: building 576
-    # oracles per graph cost the scan about 2%.
+    # oracles per graph made the m <= 4 scan about 24% slower.
     oracle = DecisionOracle(g.edge_ids)
     seen = set()
     for table in _enumerate_decision_functions(oracle.edge_ids):

@@ -1,5 +1,6 @@
 import pathlib
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -7,6 +8,7 @@ import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities import load_decision_tree, load_graph, load_map
+from tutte_activities.comb_map import CombMap
 from tutte_activities.harness import desk_corpus
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -39,6 +41,19 @@ def mask_of(letters):
 
 def letters_of(mask):
     return "".join(sorted(LETTERS[i] for i in gr.edge_ids(mask)))
+
+
+def edge_mask(m, names):
+    return gr.edge_set(m.edge_id_by_name(n) for n in names)
+
+
+def descending_submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def kirchhoff_count(g):
@@ -112,6 +127,21 @@ def moved_ids(g, rng):
 def renamed(g, new):
     """g with each edge id e renamed to new[e]."""
     return gr.Graph(g.vertex_count, [(new[e], u, v) for e, u, v in g.edges])
+
+
+def seeded_rotation(g, rng):
+    """A map of g with a seeded rotation at every vertex and a seeded root."""
+    around = defaultdict(list)
+    for k, (_, u, v) in enumerate(g.edges):
+        around[u].append(2 * k)
+        around[v].append(2 * k + 1)
+    sigma = [0] * (2 * g.edge_count())
+    for hs in around.values():
+        rng.shuffle(hs)
+        for i, h in enumerate(hs):
+            sigma[h] = hs[(i + 1) % len(hs)]
+    return CombMap(sigma, [h ^ 1 for h in range(len(sigma))],
+                   rng.randrange(len(sigma)))
 
 
 def brute_canonical_form(g):

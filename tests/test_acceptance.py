@@ -29,7 +29,8 @@ from tutte_activities.harness import canonical_form, connected_multigraphs
 from tutte_activities.poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
 from tutte_activities.scan import conjecture_scan
 from tutte_activities.tutte import tutte_definitional, tutte_delcon
-from conftest import fixture_graph, fixture_map, mask_of
+from conftest import (descending_submasks, fixture_graph, fixture_map,
+                      mask_of)
 
 GOLDEN_G4 = "x^2 + x*y + x + y^2 + y"
 
@@ -159,7 +160,7 @@ def test_criterion_3_theorem_suite(corpus):
                 lower = t & ~tm["I"]
                 upper = t | tm["L"]
                 free = upper & ~lower
-                for sub in _submasks(free):
+                for sub in descending_submasks(free):
                     member = lower | sub
                     bit = 1 << member
                     assert not (seen & bit), (g, seed, member)
@@ -186,15 +187,6 @@ def test_criterion_3_theorem_suite(corpus):
     elapsed = time.time() - start
     report(3, f"variant/maximality/partition/step/representative theorems "
               f"on {len(corpus)} graphs in {elapsed:.1f}s")
-
-
-def _submasks(mask):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def _check_five_characterizations(g, sweep):

@@ -17,12 +17,8 @@ from tutte_activities.decision import (LEFT, RIGHT, DecisionOracle,
                                        from_linear_order, from_order_map)
 from tutte_activities.engine import delta_activity, delta_ordering, forest_walk
 from tutte_activities.harness import connected_multigraphs
-from conftest import (fixture_graph, fixture_map, letters_of, mask_of,
-                      moved_ids, permuted, renamed)
-
-
-def edge_mask(m, names):
-    return gr.edge_set(m.edge_id_by_name(n) for n in names)
+from conftest import (FIXTURES, edge_mask, fixture_graph, fixture_map,
+                      letters_of, mask_of, moved_ids, permuted, renamed)
 
 
 def names_of(m, mask):
@@ -558,3 +554,18 @@ def test_order_map_oracle_rejects_a_map_of_another_graph(family):
         make_oracle(family, shifted, cmap)
     assert str(exc.value) == "the map must embed the graph"
     assert make_oracle(family, g, cmap).edge_ids == g.edge_ids
+
+
+@pytest.mark.parametrize("spec", [
+    "linear", "linear:3,1,0,2", "random:1",
+    f"file:{FIXTURES / 'trees' / 'parallel_triangle.tree'}", "embedding",
+    "blossoming", "dfs"])
+def test_every_oracle_has_the_base_attributes(spec):
+    cmap = fixture_map("parallel_triangle")
+    g = cmap.underlying_graph()
+    if spec == "dfs":  # the DFS oracle refuses parallel edges
+        g, cmap = fixture_graph("dfs_five"), None
+    oracle = make_oracle(spec, g, cmap)
+    assert oracle.edge_ids == g.edge_ids
+    assert oracle.m == g.edge_count()
+    assert oracle.full == g.full_edge_set()

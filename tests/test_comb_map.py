@@ -10,11 +10,8 @@ from tutte_activities.comb_map import (CombMap, _cycles_of, format_map, genus,
                                        mirror, motion_function, parse_map,
                                        save_map, tour_order)
 from tutte_activities.harness import canonical_form, connected_multigraphs
-from conftest import FIXTURES, fixture_graph, fixture_map
-
-
-def edge_mask(m, names):
-    return gr.edge_set(m.edge_id_by_name(n) for n in names)
+from conftest import (FIXTURES, edge_mask, fixture_graph, fixture_map,
+                      seeded_rotation)
 
 
 def tour_edge_names(m, tree):
@@ -287,21 +284,6 @@ def derive_from_scratch(m):
     graph = gr.Graph(len(cycles), [(eid, vertex_of[h1], vertex_of[h2])
                                    for eid, (h1, h2) in enumerate(pairs)])
     return cycles, vertex_of, pairs, edge_of, graph
-
-
-def seeded_rotation(g, rng):
-    """A map of g with a shuffled rotation at each vertex and a random root."""
-    around = {}
-    for eid, u, v in g.edges:
-        around.setdefault(u, []).append(2 * eid)
-        around.setdefault(v, []).append(2 * eid + 1)
-    sigma = [0] * (2 * g.edge_count())
-    for halves in around.values():
-        rng.shuffle(halves)
-        for i, h in enumerate(halves):
-            sigma[h] = halves[(i + 1) % len(halves)]
-    return CombMap(sigma, [h ^ 1 for h in range(len(sigma))],
-                   rng.randrange(len(sigma)))
 
 
 def cache_maps():

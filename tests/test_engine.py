@@ -13,7 +13,8 @@ from tutte_activities.engine import (DIRECTION_OF_TYPE, _contract,
                                      internal_active_no_contract, run_history,
                                      type_masks)
 from tutte_activities.harness import connected_multigraphs
-from conftest import fixture_graph, letters_of, mask_of, permuted
+from conftest import (descending_submasks, fixture_graph, letters_of,
+                      mask_of, permuted)
 
 # Expected types for every subgraph of the parallel triangle under the
 # fixture decision tree, grouped by equivalence class.  The singleton class
@@ -159,7 +160,7 @@ def test_witness_cycle_and_cocycle_for_active_types(g4):
 
 def _witness_cycle(g, eid, si_mask, position):
     from test_graph import is_cycle
-    candidates = [sub for sub in _submasks(si_mask)]
+    candidates = [sub for sub in descending_submasks(si_mask)]
     for sub in candidates:
         cyc = sub | (1 << eid)
         if is_cycle(g, cyc):
@@ -172,7 +173,7 @@ def _witness_cycle(g, eid, si_mask, position):
 def _witness_cocycle(g, eid, se_mask, position):
     full = g.full_edge_set()
     base = gr.cc(g, full)
-    for sub in _submasks(se_mask):
+    for sub in descending_submasks(se_mask):
         cut = sub | (1 << eid)
         if gr.cc(g, full & ~cut) == base + 1:
             if all(gr.cc(g, full & ~(cut & ~(1 << d))) == base
@@ -180,15 +181,6 @@ def _witness_cocycle(g, eid, se_mask, position):
                 if all(position[x] < position[eid] for x in gr.edge_ids(sub)):
                     return True
     return False
-
-
-def _submasks(mask):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def test_internal_active_no_contract_examples(g4, d4):
@@ -233,20 +225,11 @@ def test_forest_active_maximality(g4):
                     continue
                 if gr.cycl(g4, f | (1 << eid)) != 1:
                     continue
-                cyc = _forest_cycle(g4, f, eid)
+                cyc = gr.fundamental_cycle(g4, f, eid)
                 if all(rank[x] < rank[eid]
                        for x in gr.edge_ids(cyc & ~(1 << eid))):
                     expected |= 1 << eid
             assert active == expected, (seed, f)
-
-
-def _forest_cycle(g, forest, eid):
-    """Unique cycle in forest + e."""
-    u, v = g.endpoints(eid)
-    if u == v:
-        return 1 << eid
-    path = gr.tree_path(g, forest, u, v)
-    return (1 << eid) | gr.edge_set(path)
 
 
 def _forest_visit_order(g, oracle, subgraph):

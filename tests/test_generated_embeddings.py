@@ -24,7 +24,7 @@ from tutte_activities.engine import decision_walk, delta_activity
 from tutte_activities.harness import canonical_form, connected_multigraphs
 from tutte_activities.poly import BivariatePoly
 from tutte_activities.tutte import tutte_definitional, tutte_delta
-from conftest import FIXTURES, fixture_map
+from conftest import FIXTURES, fixture_map, seeded_rotation
 
 
 def rotation_embedding(g, twist=0):
@@ -116,21 +116,6 @@ def test_tau_terminates_on_every_forest():
                 out = tau(m, f)
                 assert gr.is_spanning_tree(gm, out) or \
                     (out == 0 and gm.vertex_count == 1)
-
-
-def seeded_rotation(g, rng):
-    """A map of g with a seeded rotation at every vertex and a seeded root."""
-    around = defaultdict(list)
-    for k, (_, u, v) in enumerate(g.edges):
-        around[u].append(2 * k)
-        around[v].append(2 * k + 1)
-    sigma = [0] * (2 * g.edge_count())
-    for hs in around.values():
-        rng.shuffle(hs)
-        for i, h in enumerate(hs):
-            sigma[h] = hs[(i + 1) % len(hs)]
-    return CombMap(sigma, [h ^ 1 for h in range(len(sigma))],
-                   rng.randrange(len(sigma)))
 
 
 def _spliced_prune_reference(m, forest_mask):

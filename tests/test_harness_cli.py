@@ -408,6 +408,28 @@ def test_cli_parse_error_has_line_number(tmp_path):
         f"error: {bad}: line 2: expected an integer, got 'x'"
 
 
+@pytest.mark.parametrize("flag,text,message", [
+    ("--graph", "vertices 3\nedge 0 0 1\nvertices 2\n",
+     "line 3: repeated 'vertices' line"),
+    ("--map", "halfedges 2\nsigma (a)(b)\nsigma (a b)\nalpha (a b)\nroot a\n",
+     "line 3: repeated 'sigma' line"),
+], ids=["vertices", "sigma"])
+def test_cli_repeated_directive_is_one_error_line(tmp_path, flag, text,
+                                                  message):
+    path = tmp_path / "repeated"
+    path.write_text(text)
+    out = run_cli("tutte", flag, str(path), "--method", "delcon")
+    assert _one_error_line(out) == f"error: {path}: {message}"
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("oracle", ["embedding", "blossoming", "linear"])
+def test_cli_activity_refuses_a_non_tree_alike(oracle):
+    out = run_cli("activity", "--map", MAP, "--oracle", oracle, "--tree", "0")
+    assert _one_error_line(out) == "error: edge set is not a spanning tree"
+    assert out.stdout == ""
+
+
 def _one_error_line(out):
     assert out.returncode != 0
     assert "Traceback" not in out.stderr

@@ -33,7 +33,7 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
     (lambda: gr.Graph(2, [(-1, 0, 1)]), "edge ids must be non-negative"),
     (lambda: gr.Graph(2, [(0, 0, 1), (4_000_000_000, 0, 1)]),
      "edge id 4000000000 is above the largest id, 1048576"),
-    (lambda: gr.tree_path(gr.Graph(3, [(0, 0, 1), (1, 1, 2)]), 0b01, 0, 2),
+    (lambda: gr.fundamental_cycle(TRIANGLE, 0b01, 2),
      "endpoints not connected in the given tree"),
     (lambda: gr.fundamental_cocycle(gr.Graph(2, [(0, 0, 1), (1, 1, 1)]),
                                     0b11, 1),
@@ -43,13 +43,29 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
      "bad machine-form line: '1,0,1/1'"),
     (lambda: DecisionOracle([0, 1, 2], {(): 0}).next_edge((LEFT,)),
      "no edge for prefix 'l'"),
+    (lambda: gr.parse_graph("vertices 3\nedge 0 0 1\nvertices 2\n"),
+     "line 3: repeated 'vertices' line"),
+    (lambda: parse_map("halfedges 2\nsigma (a)(b)\nsigma (a b)\n"
+                       "alpha (a b)\nroot a\n"),
+     "line 3: repeated 'sigma' line"),
 ], ids=["odd-half-edges", "sigma-not-a-permutation", "root-out-of-range",
         "repeated-names", "unknown-edge-name", "delete-last-edge",
         "unknown-family", "not-its-own-dfs-forest", "trie-not-a-permutation",
         "no-vertices", "negative-id", "huge-id",
         "tree-path-across-components", "cocycle-of-a-loop", "negative-power",
-        "bad-machine-form-line", "prefix-not-in-table"])
+        "bad-machine-form-line", "prefix-not-in-table", "repeated-vertices",
+        "repeated-sigma"])
 def test_refusal_names_its_cause(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key", ["halfedges", "alpha", "root"])
+def test_a_repeated_map_line_is_refused(key):
+    lines = LOOP_MAP.splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith(key))
+    lines.insert(k + 1, lines[k])
+    with pytest.raises(ValueError) as exc:
+        parse_map("\n".join(lines))
+    assert str(exc.value) == f"line {k + 2}: repeated {key!r} line"
