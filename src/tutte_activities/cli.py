@@ -74,17 +74,20 @@ def _load(loader, path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+_ORACLE_FREE = {"definitional": tutte_definitional, "delcon": tutte_delcon,
+                "dfs": tutte_dfs}
+
+
 def _cmd_tutte(args):
-    g, m = _load_inputs(args)
     method = args.method
-    if method == "definitional":
-        poly = tutte_definitional(g)
-    elif method == "delcon":
-        poly = tutte_delcon(g)
-    elif method == "dfs":
-        poly = tutte_dfs(g)
+    if method in _ORACLE_FREE and args.oracle is not None:
+        raise ValueError(f"--method {method} takes no --oracle")
+    g, m = _load_inputs(args)
+    if method in _ORACLE_FREE:
+        poly = _ORACLE_FREE[method](g)
     else:
-        oracle = make_oracle(args.oracle, g, m)
+        spec = "linear" if args.oracle is None else args.oracle
+        oracle = make_oracle(spec, g, m)
         fn = {
             "activity": tutte_delta,
             "forest": tutte_forest,
@@ -204,7 +207,8 @@ def _parser():
     p.add_argument("--method", default="definitional",
                    choices=["definitional", "delcon", "activity", "forest",
                             "connected", "half", "dfs", "forest-activity"])
-    p.set_defaults(fn=_cmd_tutte)
+    # unset, so the three methods that take no oracle can refuse one
+    p.set_defaults(fn=_cmd_tutte, oracle=None)
 
     p = sub.add_parser("activity", help="active edges of a spanning tree")
     common(p)

@@ -7,9 +7,9 @@ root half-edge.  The group generated by sigma and alpha must act
 transitively, so the underlying graph is connected.
 
 Vertices of the underlying graph are the cycles of sigma, edges the orbits
-of alpha.  Deletion and contraction act on sigma through an exact case
-split; deleting an isthmus or contracting a loop is rejected since either
-could disconnect the map.
+of alpha.  A tour and a minor take one rotation step (`_motion`), across
+an edge or around it; deleting an isthmus or contracting a loop is rejected
+since either could disconnect the map.
 """
 
 from __future__ import annotations
@@ -190,21 +190,26 @@ def genus(m: CombMap) -> int:
 # -- motion function and tours -----------------------------------------------
 
 
+def _motion(m: CombMap, inside: int):
+    """The rotation step: h -> sigma(alpha(h)) when h's edge is in `inside`,
+    h -> sigma(h) otherwise."""
+    sig = m.sigma
+    step = list(sig)
+    for eid, (h1, h2) in enumerate(m.edge_pairs()):
+        if (inside >> eid) & 1:
+            step[h1], step[h2] = sig[h2], sig[h1]
+    return tuple(step)
+
+
 def motion_function(m: CombMap, tree_mask: int):
     """Permutation walking the tour of a spanning tree.
 
-    Sends h to sigma(h) when h's edge is external, to sigma(alpha(h)) when
-    internal.  For a spanning tree this is a single cycle on all half-edges.
+    The rotation step with the tree inside: a tour steps across tree edges
+    and around the others.  For a spanning tree this is a single cycle on
+    all half-edges.
     """
     require_spanning_tree(m.underlying_graph(), tree_mask)
-    edge = m.edge_of()
-    out = []
-    for h in range(len(m.sigma)):
-        if (tree_mask >> edge[h]) & 1:
-            out.append(m.sigma[m.alpha[h]])
-        else:
-            out.append(m.sigma[h])
-    return tuple(out)
+    return _motion(m, tree_mask)
 
 
 def tour_order(m: CombMap, tree_mask: int):
@@ -229,60 +234,46 @@ def tour_order(m: CombMap, tree_mask: int):
 # -- deletion, contraction, mirror -------------------------------------------
 
 
-def _restrict(m: CombMap, new_sigma, removed):
-    """Rebuild a CombMap after dropping two half-edges, compacting ids."""
-    n = len(m.sigma)
-    keep = [h for h in range(n) if h not in removed]
-    if not keep:
+def _remove_edge(m: CombMap, eid: int, inside: int) -> CombMap:
+    """Drop edge eid; each rotation skips its two half-edges by the step.
+
+    With `inside = 0` the skip goes around the edge's ends (deletion); with
+    `inside = 1 << eid` it crosses the edge, merging the two rotations
+    (contraction).  A removed root gives way to the half-edge its skip
+    reaches.  Half-edge ids are compacted in order.
+    """
+    if m.edge_count() == 1:
         raise ValueError("operation would leave an empty map")
+    removed = m.edge_pairs()[eid]
+    sig = m.sigma
+    step = _motion(m, inside)
+
+    def skip(h):
+        h = sig[h]
+        while h in removed:
+            h = step[h]
+        return h
+
+    keep = [h for h in range(len(sig)) if h not in removed]
     new_id = {h: i for i, h in enumerate(keep)}
-    sigma = [new_id[new_sigma[h]] for h in keep]
-    alpha = [new_id[m.alpha[h]] for h in keep]
-    names = tuple(m.names[h] for h in keep) if m.names else None
-    if m.root in removed:
-        root = new_id[new_sigma[m.root]]
-    else:
-        root = new_id[m.root]
-    return CombMap(sigma, alpha, root, names)
+    root = skip(m.root) if m.root in removed else m.root
+    return CombMap([new_id[skip(h)] for h in keep],
+                   [new_id[m.alpha[h]] for h in keep], new_id[root],
+                   tuple(m.names[h] for h in keep) if m.names else None)
 
 
 def map_delete(m: CombMap, eid: int) -> CombMap:
     """Delete a non-isthmus edge, stitching the rotation around each end."""
-    g = m.underlying_graph()
-    if classify_edge(g, eid) == ISTHMUS:
+    if classify_edge(m.underlying_graph(), eid) == ISTHMUS:
         raise ValueError("deleting an isthmus would disconnect the map")
-    h1, h2 = m.edge_pairs()[eid]
-    sig = m.sigma
-
-    def sigma_d(h):
-        if (sig[h] == h1 and sig[h1] == h2) or (sig[h] == h2 and sig[h2] == h1):
-            return sig[sig[sig[h]]]
-        if (sig[h] == h1 and sig[h1] != h2) or (sig[h] == h2 and sig[h2] != h1):
-            return sig[sig[h]]
-        return sig[h]
-
-    new_sigma = {h: sigma_d(h) for h in range(len(sig))}
-    return _restrict(m, new_sigma, {h1, h2})
+    return _remove_edge(m, eid, 0)
 
 
 def map_contract(m: CombMap, eid: int) -> CombMap:
     """Contract a non-loop edge, merging the rotations of its endpoints."""
-    h1, h2 = m.edge_pairs()[eid]
-    vertex = m.vertex_of()
-    if vertex[h1] == vertex[h2]:
+    if m.underlying_graph().is_loop(eid):
         raise ValueError("contracting a loop would disconnect the map")
-    sig = m.sigma
-    alp = m.alpha
-
-    def sigma_c(h):
-        if (sig[h] == h1 and sig[h2] == h2) or (sig[h] == h2 and sig[h1] == h1):
-            return sig[sig[h]]
-        if (sig[h] == h1 and sig[h2] != h2) or (sig[h] == h2 and sig[h1] != h1):
-            return sig[alp[sig[h]]]
-        return sig[h]
-
-    new_sigma = {h: sigma_c(h) for h in range(len(sig))}
-    return _restrict(m, new_sigma, {h1, h2})
+    return _remove_edge(m, eid, 1 << eid)
 
 
 def mirror(m: CombMap) -> CombMap:

@@ -26,7 +26,7 @@ from .comb_map import CombMap, mirror, tour_order
 from .engine import (TYPE_I, TYPE_L, TYPE_SE, TYPE_SI, decision_walk,
                      delta_ordering, forest_walk, internal_active_no_contract,
                      run_history, type_masks)
-from .partition import SubgraphInterval, class_table
+from .partition import MATERIALIZE_MAX_EDGES, SubgraphInterval, class_table
 from .tutte import (tutte_definitional, tutte_delcon, tutte_delta,
                     tutte_forest_activity)
 
@@ -345,7 +345,14 @@ def crosscheck(g, spec=None, comb_map=None, seeds=range(3)):
     map `comb_map` is given (it must embed g), `dfs` unless g has multiple
     edges, and the oracle that `spec` names.  The native rules of the
     classical families are then checked against their oracles' typings.
+    The checks type all 2^m subgraphs per oracle, so g may have at most
+    MATERIALIZE_MAX_EDGES edges, the cap of `class_table`.
     """
+    if g.edge_count() > MATERIALIZE_MAX_EDGES:
+        raise ValueError(
+            f"crosscheck is capped at {MATERIALIZE_MAX_EDGES} edges, since it "
+            f"types all 2^m subgraphs per oracle; the graph has "
+            f"{g.edge_count()}")
     names = ["linear", *(f"random:{s}" for s in seeds)]
     if comb_map is not None:
         names += ["embedding", "blossoming"]

@@ -172,6 +172,14 @@ def test_loop_contraction_rejected():
         map_contract(m2, 0)
 
 
+@pytest.mark.parametrize("minor", [map_delete, map_contract])
+@pytest.mark.parametrize("eid", [-1, 4])
+def test_minors_refuse_an_unknown_edge_id(embedding_map, minor, eid):
+    with pytest.raises(ValueError) as exc:
+        minor(embedding_map, eid)
+    assert str(exc.value) == f"unknown edge id {eid}"
+
+
 def test_root_moves_when_deleted(embedding_map):
     m = embedding_map  # root a; delete the root edge
     smaller = map_delete(m, m.edge_id_by_name("a"))
@@ -372,3 +380,76 @@ def test_copy_and_pickle_round_trip_maps_and_graphs():
                 assert again.names == obj.names
                 assert again._derived is None  # rebuilt, not copied
                 assert_derived_from_scratch(again)
+
+
+# -- map minors against the case-split reference --------------------------------
+
+
+def case_split_minor(m, eid, contract):
+    """Deletion or contraction of edge eid by an explicit case split on sigma.
+
+    The reference for `map_delete` and `map_contract`, with their refusals:
+    a rotation that meets a removed half-edge jumps past it, by sigma for a
+    deletion and across the edge for a contraction.
+    """
+    h1, h2 = m.edge_pairs()[eid]
+    sig, alp = m.sigma, m.alpha
+    if contract and m.vertex_of()[h1] == m.vertex_of()[h2]:
+        raise ValueError("contracting a loop would disconnect the map")
+    if not contract and gr.classify_edge(m.underlying_graph(), eid) == \
+            gr.ISTHMUS:
+        raise ValueError("deleting an isthmus would disconnect the map")
+
+    def sigma_d(h):
+        if (sig[h] == h1 and sig[h1] == h2) or (sig[h] == h2 and sig[h2] == h1):
+            return sig[sig[sig[h]]]
+        if (sig[h] == h1 and sig[h1] != h2) or (sig[h] == h2 and sig[h2] != h1):
+            return sig[sig[h]]
+        return sig[h]
+
+    def sigma_c(h):
+        if (sig[h] == h1 and sig[h2] == h2) or (sig[h] == h2 and sig[h1] == h1):
+            return sig[sig[h]]
+        if (sig[h] == h1 and sig[h2] != h2) or (sig[h] == h2 and sig[h1] != h1):
+            return sig[alp[sig[h]]]
+        return sig[h]
+
+    new_sigma = sigma_c if contract else sigma_d
+    keep = [h for h in range(len(sig)) if h not in (h1, h2)]
+    if not keep:
+        raise ValueError("operation would leave an empty map")
+    new_id = {h: i for i, h in enumerate(keep)}
+    root = new_sigma(m.root) if m.root in (h1, h2) else m.root
+    names = tuple(m.names[h] for h in keep) if m.names else None
+    return CombMap([new_id[new_sigma(h)] for h in keep],
+                   [new_id[alp[h]] for h in keep], new_id[root], names)
+
+
+def outcome(minor, m, eid, *args):
+    try:
+        r = minor(m, eid, *args)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return r.sigma, r.alpha, r.root, r.names
+
+
+def test_minors_equal_the_case_split_reference(corpus):
+    """Every edge, both minors, on seeded rotation systems with named,
+    shuffled half-edges: the same map (sigma, alpha, root and names) or the
+    same refusal."""
+    rng = random.Random(29)
+    graphs = connected_multigraphs(4) + rng.sample(corpus, 60)
+    refused = 0
+    for g in graphs:
+        for _ in range(3):
+            m = seeded_rotation(g, rng)
+            names = [f"h{h}" for h in range(m.half_edge_count())]
+            rng.shuffle(names)
+            m = CombMap(m.sigma, m.alpha, m.root, names)
+            for eid in range(m.edge_count()):
+                for minor, contract in ((map_delete, False),
+                                        (map_contract, True)):
+                    expected = outcome(case_split_minor, m, eid, contract)
+                    assert outcome(minor, m, eid) == expected
+                    refused += expected[0] == "refused"
+    assert refused > 0

@@ -107,6 +107,31 @@ def test_crosscheck_rejects_a_map_of_another_graph(g4, pruning_map):
         crosscheck(g4, comb_map=pruning_map)
 
 
+def path_graph(m):
+    return gr.Graph(m + 1, [(i, i, i + 1) for i in range(m)])
+
+
+CROSSCHECK_CAP = ("crosscheck is capped at 20 edges, since it types all 2^m "
+                  "subgraphs per oracle; the graph has 21")
+
+
+class WorkStarted(Exception):
+    pass
+
+
+def test_crosscheck_refuses_past_the_class_table_cap_before_any_work(
+        monkeypatch):
+    def started(*args, **kwargs):
+        raise WorkStarted
+
+    monkeypatch.setattr(harness, "make_oracle", started)
+    with pytest.raises(WorkStarted):  # 20 edges: checked as before
+        crosscheck(path_graph(20))
+    with pytest.raises(ValueError) as exc:
+        crosscheck(path_graph(21))
+    assert str(exc.value) == CROSSCHECK_CAP
+
+
 def test_connected_multigraph_enumeration():
     graphs = connected_multigraphs(2)
     # one edge; one loop; two loops; loop plus edge; parallel pair; path:
@@ -192,6 +217,14 @@ def test_cli_tutte_methods(method, extra):
     out = run_cli("tutte", "--graph", G4, "--method", method, *extra)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == GOLDEN
+
+
+@pytest.mark.parametrize("method", ["definitional", "delcon", "dfs"])
+@pytest.mark.parametrize("spec", ["bogus", "linear"])
+def test_cli_tutte_refuses_an_oracle_its_method_takes_none(method, spec):
+    out = run_cli("tutte", "--graph", G4, "--method", method, "--oracle", spec)
+    assert _one_error_line(out) == f"error: --method {method} takes no --oracle"
+    assert out.stdout == ""
 
 
 def _terms(text):
@@ -355,6 +388,18 @@ def test_cli_crosscheck_with_file_oracle():
 def test_cli_crosscheck_refuses_a_negative_seed_count():
     out = run_cli("crosscheck", "--graph", G4, "--seeds", "-2")
     assert _one_error_line(out) == "error: --seeds: -2 is negative"
+    assert out.stdout == ""
+
+
+def test_cli_crosscheck_over_its_cap_is_one_error_line(tmp_path):
+    path = tmp_path / "path21.graph"
+    gr.save_graph(path_graph(21), path)
+    # typing 4 x 2^21 subgraphs before the refusal would take minutes
+    out = subprocess.run(
+        [sys.executable, "-m", "tutte_activities.cli", "crosscheck",
+         "--graph", str(path)],
+        capture_output=True, text=True, env=CLI_ENV, timeout=30)
+    assert _one_error_line(out) == f"error: {CROSSCHECK_CAP}"
     assert out.stdout == ""
 
 
