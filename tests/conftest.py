@@ -2,14 +2,14 @@ import pathlib
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities import load_decision_tree, load_graph, load_map
 from tutte_activities.comb_map import CombMap
-from tutte_activities.harness import desk_corpus
+from tutte_activities.harness import _canonical, desk_corpus
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -158,6 +158,59 @@ def brute_canonical_form(g):
         if best is None or key < best:
             best = key
     return (n, best)
+
+
+def _connects(n, pairs):
+    """Whether the end pairs join all n vertices into one component."""
+    roots = list(range(n))
+    parts = n
+    for u, v in pairs:
+        while roots[u] != u:
+            u = roots[u]
+        while roots[v] != v:
+            v = roots[v]
+        if u != v:
+            roots[u] = v
+            parts -= 1
+    return parts == 1
+
+
+def reference_connected_multigraphs(max_edges, max_vertices=None):
+    """The reference for `harness.connected_multigraphs`: every combination.
+
+    Each connected combination of slots is canonicalized, and the first
+    graph met with each form is kept.
+    """
+    found = {}  # (n, m, canonical form) -> first graph with that form
+    for m in range(1, max_edges + 1):
+        n_cap = m + 1 if max_vertices is None else min(m + 1, max_vertices)
+        for n in range(1, n_cap + 1):
+            slots = [(u, v) for u in range(n) for v in range(u, n)]
+            for combo in combinations_with_replacement(slots, m):
+                if not _connects(n, combo):
+                    continue
+                key = (n, m, _canonical(n, combo))
+                if key not in found:
+                    found[key] = gr.Graph(n, [(i, u, v) for i, (u, v)
+                                              in enumerate(combo)])
+    return [found[key] for key in sorted(found)]
+
+
+def reference_connected_simple_graphs(n_vertices, max_edges):
+    """The reference for `harness.connected_simple_graphs`, made alike."""
+    pairs = list(combinations(range(n_vertices), 2))
+    out = []
+    seen = set()
+    for m in range(n_vertices - 1, min(len(pairs), max_edges) + 1):
+        for combo in combinations(pairs, m):
+            if not _connects(n_vertices, combo):
+                continue
+            key = _canonical(n_vertices, combo)
+            if key not in seen:
+                seen.add(key)
+                out.append(gr.Graph(n_vertices, [(i, u, v) for i, (u, v)
+                                                 in enumerate(combo)]))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,11 @@ import pytest
 from tutte_activities import graph as gr
 from tutte_activities import classic, cli, engine, harness
 from tutte_activities.harness import (canonical_form, connected_multigraphs,
-                                      crosscheck)
+                                      connected_simple_graphs, crosscheck)
 from conftest import (FIXTURES, ROOT, brute_canonical_form, complete,
                       fixture_graph, fixture_map, graph_path, grid, map_path,
-                      permuted)
+                      permuted, reference_connected_multigraphs,
+                      reference_connected_simple_graphs)
 
 TREE_FILE = FIXTURES / "trees" / "parallel_triangle.tree"
 
@@ -180,6 +181,41 @@ def test_generators_keep_their_representatives(corpus):
         "beab331d08ade510da51ce86d7516ebb9d8c2d9af049ddfd27e2488ef65353b9")
     assert _repr_sha256(corpus) == (
         "0f14613e019b4ca89e851a0062e8bb129cc33dfb6b3c562139cc86808421086c")
+
+
+def test_six_edge_multigraphs_keep_their_representatives():
+    assert _repr_sha256(connected_multigraphs(6)) == (
+        "5d95549d56b1fbc30964d2342c95ca5cdc23e5c76d5f161e07282ea0368b427f")
+
+
+def test_generators_match_the_combination_reference():
+    # A reference list for fewer edges or vertices is a sublist of the
+    # largest one, in the same order, so each reference is built once.
+    reference = reference_connected_multigraphs(5)
+    for m in range(6):
+        assert connected_multigraphs(m) == [
+            g for g in reference if g.edge_count() <= m]
+    reference = reference_connected_multigraphs(6, max_vertices=4)
+    for v in range(5):
+        assert connected_multigraphs(6, max_vertices=v) == [
+            g for g in reference if g.vertex_count <= v]
+    for n in range(1, 6):
+        top = n * (n - 1) // 2
+        reference = reference_connected_simple_graphs(n, top)
+        for k in range(-1, top + 2):
+            assert connected_simple_graphs(n, k) == [
+                g for g in reference if g.edge_count() <= k], (n, k)
+    assert connected_simple_graphs(6, 7) == \
+        reference_connected_simple_graphs(6, 7)
+
+
+def test_simple_generator_edge_cases():
+    # The one-vertex graph is connected with no edges at all.
+    for k in range(4):
+        assert connected_simple_graphs(1, k) == [gr.Graph(1, [])]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_vertices"):
+            connected_simple_graphs(n, 3)
 
 
 def test_crosscheck_over_all_small_multigraphs():
