@@ -8,8 +8,8 @@ polynomial.
 
 from pathlib import Path
 
-from tutte_activities import (equivalent, load_decision_tree, load_graph,
-                              partition, representative_tree, run_history)
+from tutte_activities import (load_decision_tree, load_graph, partition,
+                              representative_tree, run_history)
 from tutte_activities import graph as gr
 from tutte_activities.engine import format_history
 
@@ -40,8 +40,9 @@ for tree, interval in sorted(partition(g, oracle).items()):
           f"{show(interval.upper)}]  = {{{members}}}")
 
 # Equivalence and representatives.
-print("\nempty set ~ {b,d}:", equivalent(g, oracle, 0, gr.edge_set([1, 3])))
-print("{a} ~ {c}:", equivalent(g, oracle, 1, 4))
+print("\nempty set ~ {b,d}:", run_history(g, oracle, 0)
+      == run_history(g, oracle, gr.edge_set([1, 3])))
+print("{a} ~ {c}:", run_history(g, oracle, 1) == run_history(g, oracle, 4))
 full = g.full_edge_set()
 print("representative tree of the full subgraph:",
       show(representative_tree(g, oracle, full)))

@@ -221,32 +221,6 @@ def blossoming_active(m: CombMap, tree_mask):
     return _extreme_rule(g, reversed(order), tree_mask)
 
 
-def blossoming_subtree_charge(m: CombMap, tree_mask, eid) -> int:
-    """Net charge of the subtree hanging below an internal edge.
-
-    Charges are laid down by the pruning walk of the tree; the subtree is
-    the component of tree - e not containing the root vertex.
-    """
-    g = m.underlying_graph()
-    gr.require_spanning_tree(g, tree_mask)
-    if not ((tree_mask >> eid) & 1):
-        raise ValueError("edge is not internal")
-    run = prune_run(m, tree_mask)
-    root_vertex = m.vertex_of()[m.root]
-    roots = gr.class_roots(g, tree_mask & ~(1 << eid))
-    root_side = roots[root_vertex]
-    return sum(c for v, c in run.charges.items() if roots[v] != root_side)
-
-
-def blossoming_charge_check(m: CombMap, tree_mask, eid) -> bool:
-    """Whether the subtree below the internal edge has charge 0 or 1.
-
-    Implied by blossoming activity on any map; equivalent to it only on
-    planar maps.
-    """
-    return blossoming_subtree_charge(m, tree_mask, eid) in (0, 1)
-
-
 # -- DFS activity ---------------------------------------------------------------
 
 
@@ -325,11 +299,6 @@ def _marking_dfs(incident, subgraph_mask) -> DfsRun:
             else:
                 stack.pop()
     return DfsRun(forest, list(parent), parent, edge_order, closed)
-
-
-def dfs_forest(g, subgraph_mask) -> int:
-    """The greatest-neighbor DFS forest of a subgraph, as an edge mask."""
-    return dfs_run(g, subgraph_mask).forest_mask
 
 
 def dfs_active(g, forest_mask) -> int:

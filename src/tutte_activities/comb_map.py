@@ -94,9 +94,6 @@ class CombMap:
         # the refusing __setattr__
         return CombMap, (self.sigma, self.alpha, self.root, self.names)
 
-    def half_edge_count(self):
-        return len(self.sigma)
-
     def edge_count(self):
         return len(self.sigma) // 2
 

@@ -36,7 +36,9 @@ walk to the bottom would ask them, and each answer is still checked by
 `_visit`; an oracle that is wrong only below a forced node is caught by
 `run_history`, which asks every node of its path, and not by the walk.
 `forest_walk` is its never-deleting twin: it branches at every non-loop, so
-its leaves are the spanning forests, each with its `forest_active` set.
+its leaves are the spanning forests.  Each comes with its active set: the
+edges that are loops at their visit, once the forest edges visited before
+them are contracted.
 
 `layered_pass` is deletion/contraction in one visit order (the frontier
 states of Haggard, Pearce and Royle): one layer of the walk's minors per
@@ -322,7 +324,7 @@ def layered_pass(g, order):
 
 
 def forest_walk(g, oracle):
-    """Yield (forest, forest_active(forest)) for every spanning forest.
+    """Yield (forest, active) for every spanning forest.
 
     Nothing is deleted: a loop at its visit is active and steers left, and
     every other edge branches, out of the forest (left) or contracted (right).
@@ -355,12 +357,6 @@ def type_masks(history):
     for eid, etype in history:
         masks[etype] |= 1 << eid
     return masks
-
-
-def active_mask(history):
-    """Edges with type L or I."""
-    masks = type_masks(history)
-    return masks[TYPE_L] | masks[TYPE_I]
 
 
 def delta_ordering(g, oracle, subgraph_mask):
@@ -402,35 +398,6 @@ def internal_active_no_contract(g, oracle, tree_mask):
             if kind == gr.ISTHMUS:
                 result |= bit
             prefix += (RIGHT,)
-    return result
-
-
-def forest_active(g, oracle, subgraph_mask):
-    """Edges that are loops at their visit, with internal non-loops contracted.
-
-    Nothing is ever deleted.  External edges and loops steer left, internal
-    non-loops are contracted and steer right.  For a spanning forest the
-    output is its set of cycle-closing active external edges.
-    """
-    gr.require_connected(g)
-    ends = g._by_id
-    roots = list(range(g.vertex_count))
-    typed = 0
-    prefix = ()
-    result = 0
-    for _ in range(g.edge_count()):
-        eid = _visit(g, oracle, prefix, typed)
-        bit = 1 << eid
-        typed |= bit
-        u, v = ends[eid]
-        if roots[u] == roots[v]:
-            result |= bit
-            prefix += (LEFT,)
-        elif subgraph_mask & bit:
-            roots = _contract(g, roots, eid)
-            prefix += (RIGHT,)
-        else:
-            prefix += (LEFT,)
     return result
 
 

@@ -1,24 +1,24 @@
 """Multigraphs with loops and parallel edges, and spanning-subgraph counting.
 
-Vertices are 0..n-1.  Every edge carries a stable integer id; minors produced
-by `delete` and `contract` keep the surviving ids unchanged, so edge subsets
+Vertices are 0..n-1.  Every edge carries a stable integer id; the minors of
+`engine` and `comb_map` keep the surviving ids unchanged, so edge subsets
 (bitmasks over ids) stay meaningful across minor operations.  Spanning
 subgraphs are identified with their edge sets, represented as plain int
 bitmasks (bit i set = edge i present).
 
-Every component question goes through one union-find, `class_roots`, and so
-do fundamental sets: the cocycle of a tree edge t is the edges across the two
-classes of tree - t, and the cycle of an edge e is e and the tree edges whose
-cocycles e crosses.  The typing passes and the layered pass in `engine` do
-not call it: they carry a minor's contracted classes as a root list and merge
-two classes per contraction.  A graph keeps the answer of `is_connected`, the
-guard of every route, once it is known.
+Every component question goes through one union-find, `class_roots`.  The
+typing passes and the layered pass in `engine` do not call it: they carry a
+minor's contracted classes as a root list and merge two classes per
+contraction.  A graph keeps the answer of `is_connected`, the guard of every
+route, once it is known.
 
 The spanning trees and forests of a connected graph are the leaves of the
 walks in `engine`, which imports this module and so is imported late here.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 # Edge sets are ints with bit `id` set per edge, so every mask is as wide as
 # the largest id; a graph with a larger id is refused when it is built.
@@ -42,10 +42,22 @@ class Graph:
                  "_dfs_incidence")
 
     def __init__(self, vertex_count, edges):
+        # operator.index takes ints and int-likes and refuses floats, which
+        # int() would truncate
+        try:
+            vertex_count = index(vertex_count)
+        except TypeError:
+            raise ValueError(f"vertex_count must be an integer, "
+                             f"not {vertex_count!r}") from None
         if vertex_count <= 0:
             raise ValueError("vertex_count must be positive")
         norm = []
         for eid, u, v in edges:
+            try:
+                eid, u, v = index(eid), index(u), index(v)
+            except TypeError:
+                raise ValueError(f"edge ids and endpoints must be integers, "
+                                 f"not {(eid, u, v)!r}") from None
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge {eid} endpoint out of range")
             if eid < 0:
@@ -53,12 +65,12 @@ class Graph:
             if eid > MAX_EDGE_ID:
                 raise ValueError(
                     f"edge id {eid} is above the largest id, {MAX_EDGE_ID}")
-            norm.append((int(eid), int(u), int(v)))
+            norm.append((eid, u, v))
         norm.sort()
         ids = [e[0] for e in norm]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
-        object.__setattr__(self, "vertex_count", int(vertex_count))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_by_id", {e[0]: (e[1], e[2]) for e in norm})
 
@@ -206,7 +218,7 @@ def require_spanning_tree(g: Graph, mask: int):
         raise ValueError("edge set is not a spanning tree")
 
 
-# -- classification and minors ---------------------------------------------
+# -- classification --------------------------------------------------------
 
 
 def classify_edge(g: Graph, eid: int) -> str:
@@ -218,34 +230,7 @@ def classify_edge(g: Graph, eid: int) -> str:
     return ISTHMUS if roots[u] != roots[v] else STANDARD
 
 
-def delete(g: Graph, eid: int) -> Graph:
-    """Remove the edge, keeping both endpoints (possibly now isolated)."""
-    g.endpoints(eid)
-    return Graph(g.vertex_count, [e for e in g.edges if e[0] != eid])
-
-
-def contract(g: Graph, eid: int) -> Graph:
-    """Merge the endpoints of a non-loop edge into the smaller vertex id.
-
-    Vertices above the removed endpoint shift down by one so vertex ids stay
-    contiguous; edge ids are untouched.
-    """
-    u, v = g.endpoints(eid)
-    if u == v:
-        raise ValueError(f"cannot contract loop {eid}")
-    keep, gone = min(u, v), max(u, v)
-
-    def relabel(w):
-        if w == gone:
-            return keep
-        return w - 1 if w > gone else w
-
-    edges = [(i, relabel(a), relabel(b))
-             for i, a, b in g.edges if i != eid]
-    return Graph(g.vertex_count - 1, edges)
-
-
-# -- spanning trees and fundamental sets ------------------------------------
+# -- spanning trees and forests --------------------------------------------
 
 
 def spanning_trees(g: Graph):
@@ -262,41 +247,6 @@ def spanning_forests(g: Graph):
     from .engine import forest_walk
     return sorted(f for f, _ in
                   forest_walk(g, LinearOrderOracle(g.edge_ids)))
-
-
-def fundamental_cycle(g: Graph, tree_mask: int, eid: int) -> int:
-    """Unique cycle in tree + e, for an external edge e (a loop yields {e}).
-
-    Cycles and cocycles are transposes: a tree edge t lies on the cycle of e
-    exactly when e crosses the cocycle of t.
-    """
-    if (tree_mask >> eid) & 1:
-        raise ValueError(f"edge {eid} is internal; it has no fundamental cycle")
-    u, v = g.endpoints(eid)
-    roots = class_roots(g, tree_mask)
-    if roots[u] != roots[v]:
-        raise ValueError("endpoints not connected in the given tree")
-    mask = 1 << eid
-    for tid in edge_ids(tree_mask & g.full_edge_set()):
-        if (fundamental_cocycle(g, tree_mask, tid) >> eid) & 1:
-            mask |= 1 << tid
-    return mask
-
-
-def fundamental_cocycle(g: Graph, tree_mask: int, eid: int) -> int:
-    """Edges crossing the split of the tree at internal edge e (contains e)."""
-    if not ((tree_mask >> eid) & 1):
-        raise ValueError(f"edge {eid} is external; it has no fundamental cocycle")
-    u, v = g.endpoints(eid)
-    if u == v:
-        raise ValueError("a loop cannot belong to a spanning tree")
-    roots = class_roots(g, tree_mask & ~(1 << eid))
-    side = roots[u]  # u's side of tree - e
-    mask = 0
-    for fid, a, b in g.edges:
-        if (roots[a] == side) != (roots[b] == side):
-            mask |= 1 << fid
-    return mask
 
 
 # -- text format -------------------------------------------------------------

@@ -11,8 +11,8 @@ boolean lattice of subgraphs by spanning trees.
 from __future__ import annotations
 
 from . import graph as gr
-from .engine import (TYPE_I, TYPE_SI, active_mask, decision_walk,
-                     forest_walk, run_history, type_masks)
+from .engine import (TYPE_I, TYPE_SI, decision_walk, forest_walk,
+                     run_history, type_masks)
 
 MATERIALIZE_MAX_EDGES = 20
 
@@ -46,21 +46,10 @@ class SubgraphInterval:
         return f"SubgraphInterval({self.lower:#x}, {self.upper:#x})"
 
 
-def equivalent(g, oracle, mask_a, mask_b) -> bool:
-    """Whether two subgraphs share the same history."""
-    return (run_history(g, oracle, mask_a) == run_history(g, oracle, mask_b))
-
-
 def representative_tree(g, oracle, mask) -> int:
     """The spanning tree equivalent to the subgraph: its Si and I edges."""
     masks = type_masks(run_history(g, oracle, mask))
     return masks[TYPE_SI] | masks[TYPE_I]
-
-
-def interval_of(g, oracle, mask) -> SubgraphInterval:
-    """The equivalence class of a subgraph as an interval."""
-    act = active_mask(run_history(g, oracle, mask))
-    return SubgraphInterval(mask & ~act, mask | act)
 
 
 def partition(g, oracle):
@@ -114,14 +103,3 @@ def forest_partition_activity(g, oracle):
     """Map each leaf F of the forest walk to [F, F + active(F)], ascending."""
     return {f: SubgraphInterval(f, f | active)
             for f, active in sorted(forest_walk(g, oracle))}
-
-
-def is_partition_of_lattice(intervals, m) -> bool:
-    """Whether the intervals tile all 2^m subgraphs without overlap."""
-    seen = set()
-    for interval in intervals:
-        for member in interval.members():
-            if member in seen:
-                return False
-            seen.add(member)
-    return len(seen) == 1 << m

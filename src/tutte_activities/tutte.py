@@ -134,18 +134,6 @@ def _pivot_order(g):
     return sorted(g.edges, key=place)
 
 
-def tutte_activity(g, activity) -> BivariatePoly:
-    """Sum x^|internal active| y^|external active| over spanning trees.
-
-    `activity` maps a spanning-tree mask to the (internal, external) pair.
-    """
-    tally = Counter()
-    for t in gr.spanning_trees(g):
-        internal, external = activity(t)
-        tally[gr.popcount(internal), gr.popcount(external)] += 1
-    return BivariatePoly(tally)
-
-
 def tutte_delta(g, oracle) -> BivariatePoly:
     """The activity route: one monomial per leaf of the decision-tree walk.
 

@@ -1,6 +1,6 @@
 import pathlib
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -8,8 +8,12 @@ import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities import load_decision_tree, load_graph, load_map
+from tutte_activities.classic import prune_run
 from tutte_activities.comb_map import CombMap
+from tutte_activities.decision import LEFT, RIGHT
+from tutte_activities.engine import _contract, _visit
 from tutte_activities.harness import _canonical, desk_corpus
+from tutte_activities.poly import BivariatePoly
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -211,6 +215,147 @@ def reference_connected_simple_graphs(n_vertices, max_edges):
                 out.append(gr.Graph(n_vertices, [(i, u, v) for i, (u, v)
                                                  in enumerate(combo)]))
     return out
+
+
+# -- test-side references ---------------------------------------------------
+#
+# Each one computes by itself what the library reaches another way, so the
+# tests that compare the two check the library independently.
+
+
+def delete(g, eid):
+    """The rebuilt minor g - e: the edge removed, both endpoints kept."""
+    g.endpoints(eid)
+    return gr.Graph(g.vertex_count, [e for e in g.edges if e[0] != eid])
+
+
+def contract(g, eid):
+    """The rebuilt minor g / e: a non-loop's ends merged into the smaller id.
+
+    Vertices above the removed endpoint shift down by one so vertex ids stay
+    contiguous; edge ids are untouched.
+    """
+    u, v = g.endpoints(eid)
+    if u == v:
+        raise ValueError(f"cannot contract loop {eid}")
+    keep, gone = min(u, v), max(u, v)
+
+    def relabel(w):
+        if w == gone:
+            return keep
+        return w - 1 if w > gone else w
+
+    edges = [(i, relabel(a), relabel(b))
+             for i, a, b in g.edges if i != eid]
+    return gr.Graph(g.vertex_count - 1, edges)
+
+
+def fundamental_cycle(g, tree_mask, eid):
+    """Unique cycle in tree + e, for an external edge e (a loop yields {e}).
+
+    The reference for `classic._fundamental_sets`.  Cycles and cocycles are
+    transposes: a tree edge t lies on the cycle of e exactly when e crosses
+    the cocycle of t.
+    """
+    if (tree_mask >> eid) & 1:
+        raise ValueError(f"edge {eid} is internal; it has no fundamental cycle")
+    u, v = g.endpoints(eid)
+    roots = gr.class_roots(g, tree_mask)
+    if roots[u] != roots[v]:
+        raise ValueError("endpoints not connected in the given tree")
+    mask = 1 << eid
+    for tid in gr.edge_ids(tree_mask & g.full_edge_set()):
+        if (fundamental_cocycle(g, tree_mask, tid) >> eid) & 1:
+            mask |= 1 << tid
+    return mask
+
+
+def fundamental_cocycle(g, tree_mask, eid):
+    """Edges crossing the split of the tree at internal edge e (contains e)."""
+    if not ((tree_mask >> eid) & 1):
+        raise ValueError(f"edge {eid} is external; it has no fundamental cocycle")
+    u, v = g.endpoints(eid)
+    if u == v:
+        raise ValueError("a loop cannot belong to a spanning tree")
+    roots = gr.class_roots(g, tree_mask & ~(1 << eid))
+    side = roots[u]  # u's side of tree - e
+    mask = 0
+    for fid, a, b in g.edges:
+        if (roots[a] == side) != (roots[b] == side):
+            mask |= 1 << fid
+    return mask
+
+
+def forest_active(g, oracle, subgraph_mask):
+    """Edges that are loops at their visit, with internal non-loops contracted.
+
+    The one-subgraph reference for `engine.forest_walk`.  Nothing is ever
+    deleted.  External edges and loops steer left, internal non-loops are
+    contracted and steer right.  For a spanning forest the output is its set
+    of cycle-closing active external edges.
+    """
+    gr.require_connected(g)
+    ends = g._by_id
+    roots = list(range(g.vertex_count))
+    typed = 0
+    prefix = ()
+    result = 0
+    for _ in range(g.edge_count()):
+        eid = _visit(g, oracle, prefix, typed)
+        bit = 1 << eid
+        typed |= bit
+        u, v = ends[eid]
+        if roots[u] == roots[v]:
+            result |= bit
+            prefix += (LEFT,)
+        elif subgraph_mask & bit:
+            roots = _contract(g, roots, eid)
+            prefix += (RIGHT,)
+        else:
+            prefix += (LEFT,)
+    return result
+
+
+def blossoming_subtree_charge(m, tree_mask, eid):
+    """Net charge of the subtree hanging below an internal edge.
+
+    Charges are laid down by the pruning walk of the tree; the subtree is
+    the component of tree - e not containing the root vertex.  A charge of
+    0 or 1 is implied by blossoming activity on any map, and equivalent to
+    it only on planar maps.
+    """
+    g = m.underlying_graph()
+    gr.require_spanning_tree(g, tree_mask)
+    if not ((tree_mask >> eid) & 1):
+        raise ValueError("edge is not internal")
+    run = prune_run(m, tree_mask)
+    root_vertex = m.vertex_of()[m.root]
+    roots = gr.class_roots(g, tree_mask & ~(1 << eid))
+    root_side = roots[root_vertex]
+    return sum(c for v, c in run.charges.items() if roots[v] != root_side)
+
+
+def tutte_activity(g, activity):
+    """Sum x^|internal active| y^|external active| over spanning trees.
+
+    `activity` maps a spanning-tree mask to the (internal, external) pair.
+    """
+    tally = Counter()
+    for t in gr.spanning_trees(g):
+        internal, external = activity(t)
+        tally[gr.popcount(internal), gr.popcount(external)] += 1
+    return BivariatePoly(tally)
+
+
+def is_partition_of_lattice(intervals, m):
+    """Whether the intervals tile all 2^m subgraphs without overlap."""
+    seen = set()
+    for interval in intervals:
+        for member in interval.members():
+            if member in seen:
+                return False
+            seen.add(member)
+    return len(seen) == 1 << m
 
 
 @pytest.fixture(scope="session")

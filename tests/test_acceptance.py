@@ -14,8 +14,7 @@ from itertools import product
 from tutte_activities import graph as gr
 from tutte_activities.classic import (blossoming_active,
                                       blossoming_first_visit_order,
-                                      blossoming_internal_active,
-                                      blossoming_subtree_charge, dfs_active,
+                                      blossoming_internal_active, dfs_active,
                                       dfs_active_by_inversion, dfs_order_map,
                                       dfs_run, embedding_active, maximal_active,
                                       ordering_active, prune_run, tau)
@@ -23,14 +22,13 @@ from tutte_activities.comb_map import mirror, tour_order
 from tutte_activities.decision import (from_linear_order, from_order_map,
                                        order_map_trie, random_oracle)
 from tutte_activities.engine import (DIRECTION_OF_TYPE, delta_activity,
-                                     delta_ordering, forest_active,
-                                     run_history, type_masks)
+                                     delta_ordering, run_history, type_masks)
 from tutte_activities.harness import canonical_form, connected_multigraphs
 from tutte_activities.poly import BivariatePoly, x_minus_1_pow, y_minus_1_pow
 from tutte_activities.scan import conjecture_scan
 from tutte_activities.tutte import tutte_definitional, tutte_delcon
-from conftest import (descending_submasks, fixture_graph, fixture_map,
-                      mask_of)
+from conftest import (blossoming_subtree_charge, descending_submasks,
+                      fixture_graph, fixture_map, forest_active, mask_of)
 
 GOLDEN_G4 = "x^2 + x*y + x + y^2 + y"
 

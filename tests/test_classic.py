@@ -4,21 +4,21 @@ import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities.classic import (_fundamental_sets, blossoming_active,
-                                      blossoming_charge_check,
                                       blossoming_first_visit_order,
-                                      blossoming_internal_active,
-                                      blossoming_subtree_charge, dfs_active,
-                                      dfs_active_by_inversion, dfs_forest,
-                                      dfs_order_map, dfs_run, embedding_active,
-                                      make_oracle, maximal_active,
-                                      ordering_active, prune_run, tau)
+                                      blossoming_internal_active, dfs_active,
+                                      dfs_active_by_inversion, dfs_order_map,
+                                      dfs_run, embedding_active, make_oracle,
+                                      maximal_active, ordering_active,
+                                      prune_run, tau)
 from tutte_activities.comb_map import genus, mirror, parse_map, tour_order
 from tutte_activities.decision import (LEFT, RIGHT, DecisionOracle,
                                        from_linear_order, from_order_map)
 from tutte_activities.engine import delta_activity, delta_ordering, forest_walk
 from tutte_activities.harness import connected_multigraphs
-from conftest import (FIXTURES, edge_mask, fixture_graph, fixture_map,
-                      letters_of, mask_of, moved_ids, permuted, renamed)
+from conftest import (FIXTURES, blossoming_subtree_charge, edge_mask,
+                      fixture_graph, fixture_map, fundamental_cocycle,
+                      fundamental_cycle, letters_of, mask_of, moved_ids,
+                      permuted, renamed)
 
 
 def names_of(m, mask):
@@ -63,11 +63,11 @@ def per_edge_extreme_rule(g, rank, tree_mask, pick):
     external = 0
     for eid, _, _ in g.edges:
         if (tree_mask >> eid) & 1:
-            cut = gr.fundamental_cocycle(g, tree_mask, eid)
+            cut = fundamental_cocycle(g, tree_mask, eid)
             if eid == pick(gr.edge_ids(cut), key=rank.__getitem__):
                 internal |= 1 << eid
         else:
-            cyc = gr.fundamental_cycle(g, tree_mask, eid)
+            cyc = fundamental_cycle(g, tree_mask, eid)
             if eid == pick(gr.edge_ids(cyc), key=rank.__getitem__):
                 external |= 1 << eid
     return internal, external
@@ -87,9 +87,9 @@ def test_fundamental_sets_match_the_single_edge_queries(rooting_graphs):
             assert sorted(sets) == sorted(g.edge_ids), (g, t)
             for eid in g.edge_ids:
                 if (t >> eid) & 1:
-                    expected = gr.fundamental_cocycle(g, t, eid)
+                    expected = fundamental_cocycle(g, t, eid)
                 else:
-                    expected = gr.fundamental_cycle(g, t, eid)
+                    expected = fundamental_cycle(g, t, eid)
                 assert sets[eid] == expected, (g, t, eid)
 
 
@@ -259,8 +259,8 @@ def test_charge_worked_example(pruning_map):
     c_id = m.edge_id_by_name("c")
     assert blossoming_subtree_charge(m, t, d_id) == 2
     assert blossoming_subtree_charge(m, t, c_id) == 1
-    assert not blossoming_charge_check(m, t, d_id)
-    assert blossoming_charge_check(m, t, c_id)
+    assert blossoming_subtree_charge(m, t, d_id) not in (0, 1)
+    assert blossoming_subtree_charge(m, t, c_id) in (0, 1)
 
 
 @pytest.mark.parametrize("name,forest,visits,tree,isthmuses,charges", [
@@ -296,7 +296,8 @@ def test_charge_criterion_is_exact_on_planar_maps(name):
     for t in gr.spanning_trees(g):
         active = blossoming_internal_active(m, t)
         for eid in gr.edge_ids(t):
-            assert blossoming_charge_check(m, t, eid) == bool((active >> eid) & 1)
+            assert ((blossoming_subtree_charge(m, t, eid) in (0, 1))
+                    == bool((active >> eid) & 1))
 
 
 def test_charge_criterion_only_forward_off_plane():
@@ -305,7 +306,7 @@ def test_charge_criterion_only_forward_off_plane():
     g = m.underlying_graph()
     t = gr.spanning_trees(g)[0]
     eid = gr.edge_ids(t)[0]
-    assert blossoming_charge_check(m, t, eid)          # charge 0, criterion holds
+    assert blossoming_subtree_charge(m, t, eid) in (0, 1)  # charge 0, holds
     assert blossoming_internal_active(m, t) == 0       # yet the edge is inactive
     # forward implication must still hold everywhere: active => charge in {0,1}
     for name in ["nonplanar_parallel", "two_crossing_loops"]:
@@ -314,7 +315,7 @@ def test_charge_criterion_only_forward_off_plane():
         for tx in gr.spanning_trees(gx):
             active = blossoming_internal_active(mx, tx)
             for e in gr.edge_ids(active):
-                assert blossoming_charge_check(mx, tx, e)
+                assert blossoming_subtree_charge(mx, tx, e) in (0, 1)
 
 
 def test_tree_with_no_deletions_has_all_internal_edges_active():
@@ -367,27 +368,28 @@ def test_dfs_active_fixture():
     forest = gr.edge_set([1, 4, 5, 6])
     assert gr.edge_ids(dfs_active(g, forest)) == [0, 7]
     # adding the non-active edge 0-5 reroutes the search instead
-    assert gr.edge_ids(dfs_forest(g, forest | (1 << 2))) == [2, 4, 5, 6]
+    assert (gr.edge_ids(dfs_run(g, forest | (1 << 2)).forest_mask)
+            == [2, 4, 5, 6])
 
 
 def test_every_loop_is_dfs_active():
     g = fixture_graph("dfs_six")
     for f in gr.spanning_forests(g):
-        if dfs_forest(g, f) == f:
+        if dfs_run(g, f).forest_mask == f:
             assert dfs_active(g, f) & (1 << 7) == (1 << 7)
 
 
 def test_dfs_forest_equals_input_iff_forest():
     g = fixture_graph("dfs_five")
     for mask in range(1 << g.edge_count()):
-        out = dfs_forest(g, mask)
-        assert out == dfs_forest(g, out)                 # idempotent
+        out = dfs_run(g, mask).forest_mask
+        assert out == dfs_run(g, out).forest_mask        # idempotent
         assert (out == mask) == (gr.cycl(g, mask) == 0)  # fixed points = forests
 
 
 def test_dfs_forest_empty():
     g = fixture_graph("dfs_five")
-    assert dfs_forest(g, 0) == 0
+    assert dfs_run(g, 0).forest_mask == 0
 
 
 @pytest.mark.parametrize("name", ["dfs_six", "dfs_five",
@@ -409,7 +411,7 @@ def test_dfs_active_rejects_non_closed_input():
 def test_dfs_rejects_multigraphs(g4):
     # A graph keeps its refusal, so a second call must still raise it.
     two_loops = gr.Graph(1, [(0, 0, 0), (1, 0, 0)])
-    calls = [dfs_forest, dfs_order_map, dfs_active, dfs_forest,
+    calls = [dfs_run, dfs_order_map, dfs_active, dfs_run,
              lambda g, _: make_oracle("dfs", g)]
     for g in (g4, two_loops):
         for call in calls:
@@ -447,7 +449,7 @@ def test_dfs_active_is_max_rule_under_order_map(name):
 def test_forest_counterexample_facts():
     g = fixture_graph("dfs_forest_counterexample")
     forest = gr.edge_set([2, 3, 4])
-    assert dfs_forest(g, forest) == forest
+    assert dfs_run(g, forest).forest_mask == forest
     assert gr.edge_ids(dfs_active(g, forest)) == [1]
     for t in gr.spanning_trees(g):
         if not (t >> 1) & 1:
@@ -464,7 +466,7 @@ def test_dfs_interval_characterization():
             active = dfs_active(g, f)
             for mask in range(1 << m):
                 inside = (f & ~mask) == 0 and (mask & ~(f | active)) == 0
-                assert (dfs_forest(g, mask) == f) == inside
+                assert (dfs_run(g, mask).forest_mask == f) == inside
 
 
 def test_dfs_rules_on_all_five_vertex_simple_graphs():
@@ -508,7 +510,8 @@ def per_edge_dfs_active(g, forest_mask):
     """DFS activity by its definition: one DFS forest per external edge."""
     return gr.edge_set(eid for eid in g.edge_ids
                        if not (forest_mask >> eid) & 1
-                       and dfs_forest(g, forest_mask | 1 << eid) == forest_mask)
+                       and dfs_run(g, forest_mask | 1 << eid).forest_mask
+                       == forest_mask)
 
 
 def test_dfs_active_matches_its_definition(corpus):

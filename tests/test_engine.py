@@ -8,13 +8,14 @@ from tutte_activities.decision import (ExplicitTreeOracle,
                                        from_linear_order, random_oracle)
 from tutte_activities.engine import (DIRECTION_OF_TYPE, _contract,
                                      decision_walk, delta_activity,
-                                     delta_ordering, edge_kind, forest_active,
-                                     forest_walk, format_history,
+                                     delta_ordering, edge_kind, forest_walk,
+                                     format_history,
                                      internal_active_no_contract, run_history,
                                      type_masks)
 from tutte_activities.harness import connected_multigraphs
-from conftest import (descending_submasks, fixture_graph, letters_of,
-                      mask_of, permuted)
+from conftest import (contract, delete, descending_submasks,
+                      fixture_graph, forest_active, fundamental_cycle,
+                      letters_of, mask_of, permuted)
 
 # Expected types for every subgraph of the parallel triangle under the
 # fixture decision tree, grouped by equivalence class.  The singleton class
@@ -225,7 +226,7 @@ def test_forest_active_maximality(g4):
                     continue
                 if gr.cycl(g4, f | (1 << eid)) != 1:
                     continue
-                cyc = gr.fundamental_cycle(g4, f, eid)
+                cyc = fundamental_cycle(g4, f, eid)
                 if all(rank[x] < rank[eid]
                        for x in gr.edge_ids(cyc & ~(1 << eid))):
                     expected |= 1 << eid
@@ -245,7 +246,7 @@ def _forest_visit_order(g, oracle, subgraph):
         if not loop and not ((subgraph >> eid) & 1):
             prefix.append("l")
         elif not loop:
-            h = grm.contract(h, eid)
+            h = contract(h, eid)
             prefix.append("r")
         else:
             prefix.append("l")
@@ -320,7 +321,7 @@ def test_forest_walk_leaves_are_the_spanning_forests_with_their_actives(
 def _rebuilt_walk(g, oracle, forests=False):
     """The leaves of `decision_walk` or `forest_walk`, on rebuilt minors.
 
-    Every node builds its minor with `gr.delete`/`gr.contract` and types
+    Every node builds its minor with `delete`/`contract` and types
     the edge with `gr.classify_edge`, so nothing here shares `edge_kind`.
     The tree walk deletes its loops and contracts its isthmuses, which
     types every edge alike; the forest walk keeps a non-forest edge and
@@ -347,15 +348,15 @@ def _rebuilt_walk(g, oracle, forests=False):
         bit = 1 << eid
         kind = gr.classify_edge(h, eid)
         if kind == gr.LOOP:
-            rec(h if forests else gr.delete(h, eid), prefix + ("l",),
+            rec(h if forests else delete(h, eid), prefix + ("l",),
                 inside, internal, external | bit)
         elif kind == gr.ISTHMUS and not forests:
-            rec(gr.contract(h, eid), prefix + ("r",), inside | bit,
+            rec(contract(h, eid), prefix + ("r",), inside | bit,
                 internal | bit, external)
         else:
-            rec(h if forests else gr.delete(h, eid), prefix + ("l",),
+            rec(h if forests else delete(h, eid), prefix + ("l",),
                 inside, internal, external)
-            rec(gr.contract(h, eid), prefix + ("r",), inside | bit,
+            rec(contract(h, eid), prefix + ("r",), inside | bit,
                 internal, external)
 
     rec(g, (), 0, 0, 0)
@@ -504,10 +505,10 @@ def _random_minor_steps(g, rng):
                 gr.classify_edge(h, eid), (g, contracted, deleted, eid)
         eid = rng.choice(h.edge_ids)
         if h.is_loop(eid) or rng.random() < 0.5:
-            h = gr.delete(h, eid)
+            h = delete(h, eid)
             deleted |= 1 << eid
         else:
-            h = gr.contract(h, eid)
+            h = contract(h, eid)
             contracted |= 1 << eid
 
 

@@ -15,7 +15,6 @@ from tutte_activities import graph as gr
 from tutte_activities.classic import (blossoming_active,
                                       blossoming_first_visit_order,
                                       blossoming_internal_active,
-                                      blossoming_subtree_charge,
                                       embedding_active, make_oracle,
                                       maximal_active, prune_run, tau)
 from tutte_activities.comb_map import CombMap, genus, mirror, tour_order
@@ -24,7 +23,8 @@ from tutte_activities.engine import decision_walk, delta_activity
 from tutte_activities.harness import canonical_form, connected_multigraphs
 from tutte_activities.poly import BivariatePoly
 from tutte_activities.tutte import tutte_definitional, tutte_delta
-from conftest import FIXTURES, fixture_map, seeded_rotation
+from conftest import (FIXTURES, blossoming_subtree_charge, delete,
+                      fixture_map, seeded_rotation)
 
 
 def rotation_embedding(g, twist=0):
@@ -123,7 +123,7 @@ def _spliced_prune_reference(m, forest_mask):
     spliced out of: (tree, first visits, isthmuses at first visit, charges).
 
     Every step, revisits included, classifies its edge afresh in the graph
-    that `gr.delete` rebuilt after each deletion.
+    that `delete` rebuilt after each deletion.
     """
     g0 = current = m.underlying_graph()
     n_half = len(m.sigma)
@@ -163,7 +163,7 @@ def _spliced_prune_reference(m, forest_mask):
                     while sigma[x] in halves:
                         sigma[x] = sigma[sigma[x]]
             dead |= 1 << eid
-            current = gr.delete(current, eid)
+            current = delete(current, eid)
             charges[departure] -= 1
             charges[arrival] += 1
         for _ in range(n_half + 1):

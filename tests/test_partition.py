@@ -2,23 +2,24 @@ import pytest
 
 from tutte_activities import graph as gr
 from tutte_activities.decision import from_linear_order, random_oracle
-from tutte_activities.engine import (active_mask, decision_walk,
-                                     delta_activity, run_history, type_masks)
+from tutte_activities.engine import (decision_walk, delta_activity,
+                                     run_history, type_masks)
 from tutte_activities.partition import (SubgraphInterval, class_table,
-                                        equivalent, forest_partition_activity,
-                                        forest_partition_types, interval_of,
-                                        is_partition_of_lattice, partition,
+                                        forest_partition_activity,
+                                        forest_partition_types, partition,
                                         representative_tree)
-from conftest import (descending_submasks, fixture_graph, letters_of,
-                      mask_of)
+from conftest import (descending_submasks, fixture_graph,
+                      is_partition_of_lattice, letters_of, mask_of)
 
 
 def test_equivalence_worked_examples(g4, d4):
-    assert equivalent(g4, d4, 0, mask_of("bd"))
-    assert equivalent(g4, d4, mask_of("a"), mask_of("abd"))
-    assert not equivalent(g4, d4, mask_of("a"), mask_of("c"))
+    assert run_history(g4, d4, 0) == run_history(g4, d4, mask_of("bd"))
+    assert (run_history(g4, d4, mask_of("a"))
+            == run_history(g4, d4, mask_of("abd")))
+    assert (run_history(g4, d4, mask_of("a"))
+            != run_history(g4, d4, mask_of("c")))
     for mask in range(16):
-        assert equivalent(g4, d4, mask, mask)
+        assert run_history(g4, d4, mask) == run_history(g4, d4, mask)
 
 
 def test_partition_classes_golden(g4, d4):
@@ -79,16 +80,20 @@ def test_interval_of_equals_class(g4, d4):
     # [S - Act(S), S + Act(S)] is exactly the set of subgraphs sharing S's
     # history
     for mask in range(16):
-        interval = interval_of(g4, d4, mask)
+        history = run_history(g4, d4, mask)
+        masks = type_masks(history)
+        act = masks["L"] | masks["I"]
+        interval = SubgraphInterval(mask & ~act, mask | act)
         for other in range(16):
-            assert (other in interval) == equivalent(g4, d4, mask, other)
+            assert (other in interval) == (
+                history == run_history(g4, d4, other))
 
 
 def five_characterizations(g, oracle, s1, s2):
     h1 = run_history(g, oracle, s1)
     h2 = run_history(g, oracle, s2)
     m1, m2 = type_masks(h1), type_masks(h2)
-    act1 = active_mask(h1)
+    act1 = m1["L"] | m1["I"]
     same_history = h1 == h2
     same_partition = m1 == m2
     same_standard = (m1["Se"], m1["Si"]) == (m2["Se"], m2["Si"])

@@ -117,12 +117,6 @@ def test_negative_exponent_rejected():
         BivariatePoly({(-1, 0): 1})
 
 
-def test_integrality_predicates():
-    assert BivariatePoly({(0, 0): 2}).has_nonnegative_integer_coefficients()
-    assert not BivariatePoly({(0, 0): Fraction(1, 2)}).has_integer_coefficients()
-    assert not BivariatePoly({(0, 0): -1}).has_nonnegative_integer_coefficients()
-
-
 def test_integral_coefficients_are_stored_as_int():
     half = BivariatePoly({(1, 0): Fraction(1, 2), (0, 1): 3})
     total = half + half

@@ -9,9 +9,10 @@ from tutte_activities import graph as gr  # noqa: E402
 from tutte_activities.decision import (from_linear_order,  # noqa: E402
                                        random_oracle)
 from tutte_activities.partition import (  # noqa: E402
-    class_table, forest_partition_activity, is_partition_of_lattice)
+    class_table, forest_partition_activity)
 from tutte_activities.tutte import (  # noqa: E402
     tutte_definitional, tutte_delcon, tutte_delta, tutte_forest_activity)
+from conftest import is_partition_of_lattice  # noqa: E402
 
 
 @st.composite

@@ -7,6 +7,7 @@ from tutte_activities.classic import dfs_active_by_inversion, make_oracle
 from tutte_activities.comb_map import CombMap, map_delete, parse_map
 from tutte_activities.decision import LEFT, DecisionOracle, order_map_trie
 from tutte_activities.poly import BivariatePoly
+from conftest import fundamental_cocycle, fundamental_cycle
 
 TRIANGLE = gr.Graph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
 LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
@@ -33,14 +34,24 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
     (lambda: gr.Graph(2, [(-1, 0, 1)]), "edge ids must be non-negative"),
     (lambda: gr.Graph(2, [(0, 0, 1), (4_000_000_000, 0, 1)]),
      "edge id 4000000000 is above the largest id, 1048576"),
-    (lambda: gr.fundamental_cycle(TRIANGLE, 0b01, 2),
+    (lambda: gr.Graph(3, [(0.9, 0, 1), (1, 1, 2)]),
+     "edge ids and endpoints must be integers, not (0.9, 0, 1)"),
+    (lambda: gr.Graph(2.5, [(0, 0, 2)]),
+     "vertex_count must be an integer, not 2.5"),
+    (lambda: fundamental_cycle(TRIANGLE, 0b01, 2),
      "endpoints not connected in the given tree"),
-    (lambda: gr.fundamental_cocycle(gr.Graph(2, [(0, 0, 1), (1, 1, 1)]),
-                                    0b11, 1),
+    (lambda: fundamental_cocycle(gr.Graph(2, [(0, 0, 1), (1, 1, 1)]),
+                                 0b11, 1),
      "a loop cannot belong to a spanning tree"),
     (lambda: BivariatePoly.one() ** -1, "negative power"),
     (lambda: BivariatePoly.from_machine_form("1,0,1/1"),
      "bad machine-form line: '1,0,1/1'"),
+    (lambda: BivariatePoly.from_machine_form("(0,0,1/0)"),
+     "bad machine-form line: '(0,0,1/0)'"),
+    (lambda: BivariatePoly.from_machine_form("(0,0,1)"),
+     "bad machine-form line: '(0,0,1)'"),
+    (lambda: BivariatePoly.from_machine_form("(0,0,1/2,3)"),
+     "bad machine-form line: '(0,0,1/2,3)'"),
     (lambda: DecisionOracle([0, 1, 2], {(): 0}).next_edge((LEFT,)),
      "no edge for prefix 'l'"),
     (lambda: gr.parse_graph("vertices 3\nedge 0 0 1\nvertices 2\n"),
@@ -51,10 +62,12 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
 ], ids=["odd-half-edges", "sigma-not-a-permutation", "root-out-of-range",
         "repeated-names", "unknown-edge-name", "delete-last-edge",
         "unknown-family", "not-its-own-dfs-forest", "trie-not-a-permutation",
-        "no-vertices", "negative-id", "huge-id",
-        "tree-path-across-components", "cocycle-of-a-loop", "negative-power",
-        "bad-machine-form-line", "prefix-not-in-table", "repeated-vertices",
-        "repeated-sigma"])
+        "no-vertices", "negative-id", "huge-id", "float-id",
+        "float-vertex-count", "tree-path-across-components",
+        "cocycle-of-a-loop", "negative-power", "bad-machine-form-line",
+        "machine-form-zero-denominator", "machine-form-no-denominator",
+        "machine-form-four-fields", "prefix-not-in-table",
+        "repeated-vertices", "repeated-sigma"])
 def test_refusal_names_its_cause(call, message):
     with pytest.raises(ValueError) as exc:
         call()
