@@ -2,11 +2,12 @@
 
 Ordering activity: minimal in the fundamental cycle/cocycle for a fixed
 linear edge order.  Embedding activity: minimal for the tour order of the
-spanning tree.  Blossoming activity: defined through a pruning walk that
-turns the map into a tree.  DFS activity: greatest-neighbor depth-first
-search on simple graphs.  Each family is also realizable through a decision
-oracle (the DFS one replays the marking DFS per prefix); the native
-definitions live here and stay the references.  `make_oracle` reads every
+spanning tree.  Blossoming activity: maximal for the first visits of a
+pruning walk that turns the map into a tree.  These three run
+`engine.extreme_rule`.  DFS activity: greatest-neighbor depth-first search
+on simple graphs.  Each family is also realizable through a decision oracle
+(the DFS one replays the marking DFS per prefix); the native definitions
+live here and stay the references.  `make_oracle` reads every
 oracle spec, the classical ones and `linear`, `random:SEED` and `file:PATH`,
 for the command line and the crosscheck alike.
 """
@@ -17,68 +18,10 @@ from . import graph as gr
 from .comb_map import CombMap, mirror, tour_order
 from .decision import (RIGHT, DecisionOracle, LinearOrderOracle,
                        OrderMapOracle, RandomOracle, load_decision_tree)
-from .engine import edge_kind
+from .engine import edge_kind, extreme_rule
 
 
-# -- generic min/max rule ----------------------------------------------------
-
-
-def _fundamental_sets(g, tree_mask):
-    """Per edge id, its fundamental cycle (external) or cocycle (internal).
-
-    For a spanning tree only, from one rooting: an external edge's cycle is
-    the edge plus the tree edges of the two climbs from its ends to their
-    meeting vertex.  Cycles and cocycles are transposes of each other: an
-    internal edge t lies in the fundamental cycle of the external edge e
-    exactly when e lies in the fundamental cocycle of t, so t's cocycle is t
-    plus every external edge whose cycle passes through t.
-    """
-    adj = [[] for _ in range(g.vertex_count)]
-    for eid, u, v in g.edges:
-        if (tree_mask >> eid) & 1:
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-    up = [None] * g.vertex_count  # vertex -> (parent vertex, tree edge)
-    depth = [-1] * g.vertex_count
-    depth[0] = 0
-    stack = [0]
-    while stack:
-        w = stack.pop()
-        for nxt, eid in adj[w]:
-            if depth[nxt] < 0:
-                up[nxt] = (w, eid)
-                depth[nxt] = depth[w] + 1
-                stack.append(nxt)
-    sets = {eid: 1 << eid for eid, _, _ in g.edges}
-    for eid, u, v in g.edges:
-        if (tree_mask >> eid) & 1:
-            continue
-        while u != v:
-            if depth[u] < depth[v]:
-                u, v = v, u
-            u, tid = up[u]
-            sets[eid] |= 1 << tid
-            sets[tid] |= 1 << eid
-    return sets
-
-
-def _extreme_rule(g, order, tree_mask):
-    """Active = edges first in `order` within their fundamental cycle/cocycle.
-
-    An edge comes first in its fundamental set exactly when the set misses
-    every edge placed before it, so each edge costs one AND with the mask of
-    its predecessors.  The max rule passes the order reversed.
-    """
-    before = {}
-    placed = 0
-    for eid in order:
-        before[eid] = placed
-        placed |= 1 << eid
-    active = 0
-    for eid, fundamental in _fundamental_sets(g, tree_mask).items():
-        if not fundamental & before[eid]:
-            active |= 1 << eid
-    return active & tree_mask, active & ~tree_mask
+# -- ordering and embedding: the min/max rule ---------------------------------
 
 
 def _require_order(g, order, tree_mask):
@@ -90,20 +33,19 @@ def _require_order(g, order, tree_mask):
 def ordering_active(g, order, tree_mask):
     """Tutte's rule: minimal in the fundamental set for the linear order."""
     _require_order(g, order, tree_mask)
-    return _extreme_rule(g, order, tree_mask)
+    return extreme_rule(g, order, tree_mask)
 
 
 def maximal_active(g, order, tree_mask):
     """Dual rule: maximal in the fundamental set for the given order."""
     _require_order(g, order, tree_mask)
-    return _extreme_rule(g, reversed(order), tree_mask)
+    return extreme_rule(g, reversed(order), tree_mask)
 
 
 def embedding_active(m: CombMap, tree_mask):
     """Minimal for the tour order of the tree in the fundamental set."""
-    g = m.underlying_graph()
-    _, edge_order = tour_order(m, tree_mask)
-    return _extreme_rule(g, edge_order, tree_mask)
+    return extreme_rule(m.underlying_graph(), tour_order(m, tree_mask)[1],
+                        tree_mask)
 
 
 # -- blossoming: the pruning walk ---------------------------------------------
@@ -216,9 +158,8 @@ def blossoming_active(m: CombMap, tree_mask):
     Equivalently the activity of any decision oracle realizing the
     first-visit order map; the active sets do not depend on that choice.
     """
-    g = m.underlying_graph()
     order = blossoming_first_visit_order(m, tree_mask)
-    return _extreme_rule(g, reversed(order), tree_mask)
+    return extreme_rule(m.underlying_graph(), reversed(order), tree_mask)
 
 
 # -- DFS activity ---------------------------------------------------------------

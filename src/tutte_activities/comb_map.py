@@ -14,6 +14,8 @@ since either could disconnect the map.
 
 from __future__ import annotations
 
+from operator import index
+
 from .graph import (ISTHMUS, Graph, classify_edge, read_int, read_tokens,
                     require_spanning_tree)
 
@@ -49,14 +51,16 @@ class CombMap:
     __slots__ = ("sigma", "alpha", "root", "names", "_derived")
 
     def __init__(self, sigma, alpha, root, names=None):
-        sigma = tuple(sigma)
-        alpha = tuple(alpha)
+        try:  # ints and int-likes only, as in `Graph`
+            sigma, alpha = tuple(map(index, sigma)), tuple(map(index, alpha))
+            root = index(root)
+        except TypeError:
+            raise ValueError("sigma, alpha and root must be integers") from None
         n = len(sigma)
         if n == 0 or n % 2 != 0:
             raise ValueError("need an even, positive number of half-edges")
         if sorted(sigma) != list(range(n)) or sorted(alpha) != list(range(n)):
             raise ValueError("sigma and alpha must be permutations of 0..2m-1")
-
         for h in range(n):
             if alpha[h] == h:
                 raise ValueError(f"alpha fixes half-edge {h}")

@@ -46,9 +46,9 @@ edge, equal minors merged, so its cost follows the distinct minors, not the
 2^m branches.  `tutte_delcon` and the linear route of `tutte_delta` run it.
 
 Types use the four tags Se (standard external), L (loop at visit), Si
-(standard internal), I (isthmus at visit).  An edge typed L or I is active;
-for spanning trees the type-I edges are exactly the internal active edges
-and the type-L edges the external active ones.
+(standard internal), I (isthmus at visit).  An edge typed L or I is active.
+`delta_activity` reads a spanning tree's I and L edges off the visit order
+of its path alone, by the max rule on root-path masks (`extreme_rule`).
 """
 
 from __future__ import annotations
@@ -364,40 +364,91 @@ def delta_ordering(g, oracle, subgraph_mask):
     return [eid for eid, _ in run_history(g, oracle, subgraph_mask)]
 
 
+def _root_paths(g, tree_mask):
+    """Per vertex, the mask of the spanning tree's edges on its path from 0."""
+    adj = [[] for _ in range(g.vertex_count)]
+    for eid, u, v in g.edges:
+        if (tree_mask >> eid) & 1:
+            adj[u].append((v, 1 << eid))
+            adj[v].append((u, 1 << eid))
+    path = [0] + [None] * (g.vertex_count - 1)
+    reached = [0]
+    for w in reached:
+        for x, bit in adj[w]:
+            if path[x] is None:
+                path[x] = path[w] | bit
+                reached.append(x)
+    return path
+
+
+def extreme_rule(g, order, tree_mask):
+    """Active = edges first in `order` within their fundamental cycle/cocycle.
+
+    An external edge's cycle less the edge is the XOR of its ends' root
+    paths; it comes first when that misses `placed`, the edges before it.
+    A tree edge comes first in its cocycle when `covered`, the union of the
+    earlier external edges' cycles, misses it.  Max rule: order reversed.
+    """
+    path = _root_paths(g, tree_mask)
+    ends = g._by_id
+    placed = covered = active = 0
+    for eid in order:
+        bit = 1 << eid
+        if tree_mask & bit:
+            if not covered & bit:
+                active |= bit
+        else:
+            u, v = ends[eid]
+            cycle = path[u] ^ path[v]
+            if not cycle & placed:
+                active |= bit
+            covered |= cycle
+        placed |= bit
+    return active & tree_mask, active & ~tree_mask
+
+
+def _tree_path(g, oracle, tree_mask):
+    """The visit order on a spanning tree's path: right exactly at its edges."""
+    gr.require_spanning_tree(g, tree_mask)
+    prefix = ()
+    typed = 0
+    order = []
+    for _ in range(g.edge_count()):
+        eid = _visit(g, oracle, prefix, typed)
+        typed |= 1 << eid
+        order.append(eid)
+        prefix += (RIGHT if (tree_mask >> eid) & 1 else LEFT,)
+    return order
+
+
 def delta_activity(g, oracle, tree_mask):
     """(internal_active, external_active) masks of a spanning tree.
 
-    Internal actives are the type-I edges, external actives the type-L ones.
+    The type-I and type-L edges of `run_history`, by the max rule on the
+    visit order.  On a tree's path an edge's kind at its visit depends only
+    on the edges visited before it: a tree edge is an isthmus iff the rest
+    of its cocycle was visited (so deleted) before it, an external edge a
+    loop iff the rest of its cycle was (so contracted).  No tree edge is a
+    loop then and no external edge an isthmus, so `_tree_path` asks the
+    oracle the nodes `run_history` asks, in the same order.
     """
-    gr.require_spanning_tree(g, tree_mask)
-    masks = type_masks(run_history(g, oracle, tree_mask))
-    return masks[TYPE_I], masks[TYPE_L]
+    return extreme_rule(g, _tree_path(g, oracle, tree_mask)[::-1], tree_mask)
 
 
 def internal_active_no_contract(g, oracle, tree_mask):
     """Internal active edges computed without ever contracting an edge.
 
-    Walks the oracle like the typing pass but only deletes external
-    non-isthmus edges; an edge joins the output when it is an isthmus of the
-    current minor right after its step.
+    Follows the tree's path, deleting each external edge at its visit; a
+    tree edge joins the output when it is an isthmus of the minor then.
     """
-    gr.require_spanning_tree(g, tree_mask)
     roots = list(range(g.vertex_count))
-    deleted = typed = 0
-    prefix = ()
-    result = 0
-    for _ in range(g.edge_count()):
-        eid = _visit(g, oracle, prefix, typed)
+    deleted = result = 0
+    for eid in _tree_path(g, oracle, tree_mask):
         bit = 1 << eid
-        kind = edge_kind(g, roots, deleted, eid)
-        typed |= bit
-        if kind != gr.ISTHMUS and not tree_mask & bit:
+        if not tree_mask & bit:
             deleted |= bit
-            prefix += (LEFT,)
-        else:
-            if kind == gr.ISTHMUS:
-                result |= bit
-            prefix += (RIGHT,)
+        elif edge_kind(g, roots, deleted, eid) == gr.ISTHMUS:
+            result |= bit
     return result
 
 

@@ -194,9 +194,13 @@ class BivariatePoly:
                     raise ValueError
                 i_s, j_s, frac = line[1:-1].split(",")
                 num, den = frac.split("/")
-                terms[(int(i_s), int(j_s))] = Fraction(int(num), int(den))
+                key = (int(i_s), int(j_s))
+                coeff = Fraction(int(num), int(den))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad machine-form line: {line!r}") from None
+            if key in terms:
+                raise ValueError(f"repeated machine-form term: {line!r}")
+            terms[key] = coeff
         return cls(terms)
 
 

@@ -253,9 +253,9 @@ def contract(g, eid):
 def fundamental_cycle(g, tree_mask, eid):
     """Unique cycle in tree + e, for an external edge e (a loop yields {e}).
 
-    The reference for `classic._fundamental_sets`.  Cycles and cocycles are
-    transposes: a tree edge t lies on the cycle of e exactly when e crosses
-    the cocycle of t.
+    The reference for the root-path cycles of `engine.extreme_rule`.  Cycles
+    and cocycles are transposes: a tree edge t lies on the cycle of e exactly
+    when e crosses the cocycle of t.
     """
     if (tree_mask >> eid) & 1:
         raise ValueError(f"edge {eid} is internal; it has no fundamental cycle")

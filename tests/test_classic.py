@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tutte_activities import graph as gr
-from tutte_activities.classic import (_fundamental_sets, blossoming_active,
+from tutte_activities.classic import (blossoming_active,
                                       blossoming_first_visit_order,
                                       blossoming_internal_active, dfs_active,
                                       dfs_active_by_inversion, dfs_order_map,
@@ -13,7 +13,8 @@ from tutte_activities.classic import (_fundamental_sets, blossoming_active,
 from tutte_activities.comb_map import genus, mirror, parse_map, tour_order
 from tutte_activities.decision import (LEFT, RIGHT, DecisionOracle,
                                        from_linear_order, from_order_map)
-from tutte_activities.engine import delta_activity, delta_ordering, forest_walk
+from tutte_activities.engine import (_root_paths, delta_activity,
+                                     delta_ordering, forest_walk)
 from tutte_activities.harness import connected_multigraphs
 from conftest import (FIXTURES, blossoming_subtree_charge, edge_mask,
                       fixture_graph, fixture_map, fundamental_cocycle,
@@ -81,16 +82,21 @@ def rooting_graphs(corpus):
 
 
 def test_fundamental_sets_match_the_single_edge_queries(rooting_graphs):
+    # an external edge's cycle is the XOR of its ends' root paths; a tree
+    # edge's cocycle is the external edges whose cycles pass through it
     for g in rooting_graphs:
         for t in gr.spanning_trees(g):
-            sets = _fundamental_sets(g, t)
-            assert sorted(sets) == sorted(g.edge_ids), (g, t)
+            path = _root_paths(g, t)
+            cycles = {eid: path[u] ^ path[v] | 1 << eid
+                      for eid, u, v in g.edges if not (t >> eid) & 1}
             for eid in g.edge_ids:
                 if (t >> eid) & 1:
-                    expected = fundamental_cocycle(g, t, eid)
+                    got = gr.edge_set(f for f, cyc in cycles.items()
+                                      if (cyc >> eid) & 1) | 1 << eid
+                    assert got == fundamental_cocycle(g, t, eid), (g, t, eid)
                 else:
-                    expected = fundamental_cycle(g, t, eid)
-                assert sets[eid] == expected, (g, t, eid)
+                    assert cycles[eid] == fundamental_cycle(g, t, eid), (
+                        g, t, eid)
 
 
 def test_ordering_and_maximal_rules_match_the_per_edge_rule(rooting_graphs):

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from tutte_activities import graph as gr
+from tutte_activities.classic import make_oracle
 from tutte_activities.decision import (ExplicitTreeOracle,
                                        from_linear_order, random_oracle)
 from tutte_activities.engine import (DIRECTION_OF_TYPE, _contract,
@@ -14,8 +15,8 @@ from tutte_activities.engine import (DIRECTION_OF_TYPE, _contract,
                                      type_masks)
 from tutte_activities.harness import connected_multigraphs
 from conftest import (contract, delete, descending_submasks,
-                      fixture_graph, forest_active, fundamental_cycle,
-                      letters_of, mask_of, permuted)
+                      fixture_graph, fixture_map, forest_active,
+                      fundamental_cycle, grid, letters_of, mask_of, permuted)
 
 # Expected types for every subgraph of the parallel triangle under the
 # fixture decision tree, grouped by equivalence class.  The singleton class
@@ -426,6 +427,59 @@ def test_walk_asks_each_node_once(g4, d4):
         assert len(asked) < leaves * g4.edge_count(), walk
 
 
+def _typing_pass_agrees(g, oracle, tree):
+    """delta_activity against the I and L masks of the typing pass.
+
+    Both must ask the oracle the same prefixes in the same order.
+    """
+    by_rule = _Recording(oracle)
+    by_pass = _Recording(oracle)
+    masks = type_masks(run_history(g, by_pass, tree))
+    assert delta_activity(g, by_rule, tree) == (masks["I"], masks["L"])
+    assert by_rule.asked == by_pass.asked
+
+
+def test_delta_activity_is_the_typing_pass_on_every_tree(corpus):
+    for seed, g in enumerate(corpus):
+        g = permuted(g, seed)
+        specs = ["linear", f"random:{seed}"]
+        if len({frozenset((u, v)) for _, u, v in g.edges}) == g.edge_count():
+            specs.append("dfs")  # simple graphs only
+        for spec in specs:
+            oracle = make_oracle(spec, g)
+            for t in gr.spanning_trees(g):
+                _typing_pass_agrees(g, oracle, t)
+    for name in ("parallel_triangle", "parallel_triangle_alt",
+                 "pruning_planar", "nonplanar_parallel",
+                 "two_crossing_loops", "loop_contract_guard"):
+        m = fixture_map(name)
+        g = m.underlying_graph()
+        for spec in ("embedding", "blossoming"):
+            oracle = make_oracle(spec, g, m)
+            for t in gr.spanning_trees(g):
+                _typing_pass_agrees(g, oracle, t)
+
+
+def _seeded_tree(g, seed):
+    """A spanning tree of g: Kruskal over the edges shuffled by `seed`."""
+    edges = list(g.edges)
+    random.Random(seed).shuffle(edges)
+    roots = list(range(g.vertex_count))
+    tree = 0
+    for eid, u, v in edges:
+        ru, rv = roots[u], roots[v]
+        if ru != rv:
+            roots = [ru if r == rv else r for r in roots]
+            tree |= 1 << eid
+    return tree
+
+
+def test_delta_activity_is_the_typing_pass_on_grid_7x7():
+    g = grid(7, 7)  # 84 edges: the trees are sampled, not listed
+    for seed in range(4):
+        _typing_pass_agrees(g, random_oracle(g, seed), _seeded_tree(g, seed))
+
+
 class _CheckingOracle:
     """Forwards every query, first checking that its `used` is the OR of
     the answers this pass gave to the prefix's ancestors."""
@@ -457,6 +511,7 @@ def test_every_pass_hands_the_oracle_the_answers_on_the_path(corpus):
                 forest_active(g, _CheckingOracle(oracle), s)
             for t in gr.spanning_trees(g):
                 internal_active_no_contract(g, _CheckingOracle(oracle), t)
+                delta_activity(g, _CheckingOracle(oracle), t)
 
 
 def test_walk_of_single_edge_graphs():

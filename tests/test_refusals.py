@@ -21,6 +21,10 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
     (lambda: CombMap([0, 1], [1, 0], 2), "root out of range"),
     (lambda: CombMap([0, 1], [1, 0], 0, ["a", "a"]),
      "names must be distinct, one per half-edge"),
+    (lambda: CombMap([1.0, 0.0], [1, 0], 0),
+     "sigma, alpha and root must be integers"),
+    (lambda: CombMap([0, 1], [1, 0], 0.0),
+     "sigma, alpha and root must be integers"),
     (lambda: parse_map(LOOP_MAP).edge_id_by_name("c"), "no edge named 'c'"),
     (lambda: map_delete(parse_map(LOOP_MAP), 0),
      "operation would leave an empty map"),
@@ -52,6 +56,8 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
      "bad machine-form line: '(0,0,1)'"),
     (lambda: BivariatePoly.from_machine_form("(0,0,1/2,3)"),
      "bad machine-form line: '(0,0,1/2,3)'"),
+    (lambda: BivariatePoly.from_machine_form("(0,0,1/1)\n(0, 0,2/1)"),
+     "repeated machine-form term: '(0, 0,2/1)'"),
     (lambda: DecisionOracle([0, 1, 2], {(): 0}).next_edge((LEFT,)),
      "no edge for prefix 'l'"),
     (lambda: gr.parse_graph("vertices 3\nedge 0 0 1\nvertices 2\n"),
@@ -60,13 +66,15 @@ LOOP_MAP = "halfedges 2\nsigma (a b)\nalpha (a b)\nroot a\n"
                        "alpha (a b)\nroot a\n"),
      "line 3: repeated 'sigma' line"),
 ], ids=["odd-half-edges", "sigma-not-a-permutation", "root-out-of-range",
-        "repeated-names", "unknown-edge-name", "delete-last-edge",
+        "repeated-names", "float-half-edge", "float-root",
+        "unknown-edge-name", "delete-last-edge",
         "unknown-family", "not-its-own-dfs-forest", "trie-not-a-permutation",
         "no-vertices", "negative-id", "huge-id", "float-id",
         "float-vertex-count", "tree-path-across-components",
         "cocycle-of-a-loop", "negative-power", "bad-machine-form-line",
         "machine-form-zero-denominator", "machine-form-no-denominator",
-        "machine-form-four-fields", "prefix-not-in-table",
+        "machine-form-four-fields", "machine-form-repeated-term",
+        "prefix-not-in-table",
         "repeated-vertices", "repeated-sigma"])
 def test_refusal_names_its_cause(call, message):
     with pytest.raises(ValueError) as exc:
