@@ -97,7 +97,7 @@ def prune_run(m: CombMap, forest_mask) -> PruneRun:
     alpha = m.alpha
     edge_of = m.edge_of()
     vertex_of = m.vertex_of()
-    roots = list(range(g0.vertex_count))  # nothing is ever contracted
+    _, _, roots = gr.walk_start(g0)  # nothing is ever contracted
 
     dead = seen = 0
     first_visit = []
@@ -191,10 +191,11 @@ def dfs_run(g, subgraph_mask) -> DfsRun:
 def _dfs_incidence(g):
     """Per vertex, its (neighbor, edge id) pairs in descending order.
 
-    Worked out on the first call and kept on g, as `is_connected` keeps its
-    answer; a graph with multiple edges is refused on every call.
+    Worked out on the first call and kept in g's derived-data record, as
+    `is_connected` keeps its answer; a graph with multiple edges is refused
+    on every call.
     """
-    incident = getattr(g, "_dfs_incidence", None)  # unset until then
+    incident = g._derived.dfs_incidence
     if incident is None:
         pairs = {(min(u, v), max(u, v)) for _, u, v in g.edges}
         incident = False
@@ -206,7 +207,7 @@ def _dfs_incidence(g):
                     incident[v].append((u, eid))
             for edges in incident:
                 edges.sort(reverse=True)
-        object.__setattr__(g, "_dfs_incidence", incident)
+        g._derived.dfs_incidence = incident
     if incident is False:
         raise ValueError("DFS activity needs a graph without multiple edges")
     return incident

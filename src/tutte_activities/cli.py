@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 
 from . import graph as gr
 from .classic import (blossoming_active, embedding_active, make_oracle,
@@ -37,13 +38,17 @@ def _parse_ids(text, flag):
 
 
 def _parse_edge_set(text, g):
-    """Mask of a --tree id list; every id must be an edge of g."""
+    """Mask of a --tree id list; every id must be an edge of g, named once."""
     if text in ("", "-"):
         return 0
     ids = _parse_ids(text, "--tree")
     unknown = sorted({i for i in ids if not g.has_edge(i)})
     if unknown:
         raise ValueError("no edge with id " + ",".join(map(str, unknown)))
+    repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise ValueError("--tree: repeated edge id "
+                         + ",".join(map(str, repeated)))
     return gr.edge_set(ids)
 
 

@@ -7,10 +7,13 @@ the root of its class.  An edge is a loop of the minor when its endpoints
 share a root, and an isthmus when they do not meet through every other
 surviving edge: one union-find pass, seeded from the roots (`edge_kind`).
 
-Every pass starts from the identity list, and only a contraction changes
-it: `_contract` returns a new list with the two end classes merged.  A
-single pass rebinds its list; a walk pushes the contracted list with the
-right branch and keeps its own for the left one.
+Every pass starts from the graph's identity roots (`graph.walk_start`, a
+tuple kept on the graph with its edge triples and starting slack), and only
+a contraction changes them: `_contract` returns a new list with the two end
+classes merged.  A single pass rebinds its list; a walk pushes the
+contracted list with the right branch and keeps its own for the left one.
+Until a pass first deletes or contracts, its minor is G itself, and
+`edge_kind` reads the kind G keeps (`graph.classify_edge`).
 
 The typing pass visits the edges in the order dictated by the oracle.  The
 visited edge is classified in the current minor H: a standard external edge
@@ -102,17 +105,22 @@ def edge_kind(g, roots, gone, eid):
     """Loop, Isthmus or Standard, given the contracted classes' roots.
 
     `roots` maps each vertex to its class's root and `gone` holds the
-    contracted and the deleted edges.  The isthmus test is one union-find
-    over the other surviving edges, seeded from the roots.  It stays inline
-    rather than calling `graph.class_roots`: it asks about one pair of ends
-    only, and it is the hottest loop of every walk, where a flattening pass
-    over all vertices costs time.
+    contracted and the deleted edges.  Every contracted edge is in `gone`,
+    so at `gone == 0` nothing is contracted, `roots` is the identity and the
+    minor is G: its kind is G's own, which `graph.classify_edge` keeps on g.
+    Below that, the isthmus test is one union-find over the other surviving
+    edges, seeded from the roots.  It stays inline rather than calling
+    `graph.class_roots`: it asks about one pair of ends only, and it is the
+    hottest loop of every walk, where a flattening pass over all vertices
+    costs time.
     """
+    if not gone:
+        return gr.classify_edge(g, eid)
     u, v = g._by_id[eid]
     u, v = roots[u], roots[v]
     if u == v:
         return gr.LOOP
-    parent = roots[:]
+    parent = list(roots)
     gone |= 1 << eid
     for f, a, b in g.edges:
         if not (gone >> f) & 1:
@@ -147,7 +155,7 @@ def run_history(g, oracle, subgraph_mask, *, delete_loops=False,
     they never change the output, only the masks the pass carries.
     """
     gr.require_connected(g)
-    roots = list(range(g.vertex_count))
+    _, _, roots = gr.walk_start(g)
     contracted = deleted = typed = 0
     prefix = ()
     history = []
@@ -194,11 +202,10 @@ def decision_walk(g, oracle):
     no other edge's kind, so the leaf is read off the roots without asking.
     """
     gr.require_connected(g)
-    edges = [(1 << f, a, b) for f, a, b in g.edges]
-    slack = sum(a != b for _, a, b in edges) - g.vertex_count + 1
+    edges, slack, roots = gr.walk_start(g)
     # (prefix, roots, contracted, deleted, internal, external, slack); the
     # typed edges are the union of the four masks.
-    stack = [((), list(range(g.vertex_count)), 0, 0, 0, 0, slack)]
+    stack = [((), roots, 0, 0, 0, 0, slack)]
     while stack:
         (prefix, roots, contracted, deleted, internal, external,
          slack) = stack.pop()
@@ -262,8 +269,8 @@ def layered_pass(g, order):
             raise ValueError("order must be a permutation of the edges")
         raise ValueError(f"oracle returned unusable edge {bad}")
     n = g.vertex_count
-    nonloop = sum(u != v for _, u, v in g.edges)
-    slack = nonloop - n + 1
+    _, slack, roots = gr.walk_start(g)
+    nonloop = slack + n - 1
     if not slack:  # a tree with loops
         return {(n - 1, len(order) - nonloop): 1}
     w = comb(nonloop, n - 1).bit_length() + 1
@@ -271,7 +278,7 @@ def layered_pass(g, order):
     for k, eid in enumerate(order):
         u, v = ends[eid]
         last[u] = last[v] = k
-    layer = {(): [list(range(n)), 1, slack]}
+    layer = {(): [roots, 1, slack]}
     frontier = []
     gone = done = 0
     for k, eid in enumerate(order):
@@ -333,8 +340,9 @@ def forest_walk(g, oracle):
     gr.require_connected(g)
     ends = g._by_id
     m = g.edge_count()
+    _, _, roots = gr.walk_start(g)
     # (prefix, roots, contracted, typed, active)
-    stack = [((), list(range(g.vertex_count)), 0, 0, 0)]
+    stack = [((), roots, 0, 0, 0)]
     while stack:
         prefix, roots, contracted, typed, active = stack.pop()
         while len(prefix) < m:
@@ -441,7 +449,7 @@ def internal_active_no_contract(g, oracle, tree_mask):
     Follows the tree's path, deleting each external edge at its visit; a
     tree edge joins the output when it is an isthmus of the minor then.
     """
-    roots = list(range(g.vertex_count))
+    _, _, roots = gr.walk_start(g)
     deleted = result = 0
     for eid in _tree_path(g, oracle, tree_mask):
         bit = 1 << eid

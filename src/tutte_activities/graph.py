@@ -9,8 +9,15 @@ bitmasks (bit i set = edge i present).
 Every component question goes through one union-find, `class_roots`.  The
 typing passes and the layered pass in `engine` do not call it: they carry a
 minor's contracted classes as a root list and merge two classes per
-contraction.  A graph keeps the answer of `is_connected`, the guard of every
-route, once it is known.
+contraction.
+
+A graph holds one record of data derived from it (`_Derived`), each field
+worked out on its first use and kept: whether it is connected, the start
+of every walk (the edges as (bit, u, v) triples, the starting slack and the
+identity roots), its full edge mask, the DFS incidence of
+`classic._dfs_incidence`, and the kinds of its own edges, one per
+`classify_edge` call.  Every walk and pass starts at the graph itself, so
+each reads what the walks before it worked out.
 
 The spanning trees and forests of a connected graph are the leaves of the
 walks in `engine`, which imports this module and so is imported late here.
@@ -29,6 +36,21 @@ ISTHMUS = "Isthmus"
 STANDARD = "Standard"
 
 
+class _Derived:
+    """What a graph's walks and passes read, each field filled on first use.
+
+    A field is None until then, except `kinds`, which starts empty and
+    fills one edge at a time.  Two threads that fill a field at once work
+    out the same value, so either may win.
+    """
+
+    __slots__ = ("connected", "start", "full", "dfs_incidence", "kinds")
+
+    def __init__(self):
+        self.connected = self.start = self.full = self.dfs_incidence = None
+        self.kinds = {}  # edge id -> its kind in the graph
+
+
 class Graph:
     """Undirected multigraph; immutable after construction.
 
@@ -36,10 +58,9 @@ class Graph:
     loop.  Freshly built graphs use ids 0..m-1; minors keep original ids.
     """
 
-    # _connected and _dfs_incidence are filled on first use, by
-    # `is_connected` and `classic._dfs_incidence`.
-    __slots__ = ("vertex_count", "edges", "_by_id", "_connected",
-                 "_dfs_incidence")
+    # _derived is the graph's `_Derived` record; equality, hashing, repr and
+    # copies ignore it, and a copy starts with an empty one.
+    __slots__ = ("vertex_count", "edges", "_by_id", "_derived")
 
     def __init__(self, vertex_count, edges):
         # operator.index takes ints and int-likes and refuses floats, which
@@ -73,6 +94,7 @@ class Graph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_by_id", {e[0]: (e[1], e[2]) for e in norm})
+        object.__setattr__(self, "_derived", _Derived())
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -99,10 +121,10 @@ class Graph:
         return eid in self._by_id
 
     def full_edge_set(self):
-        mask = 0
-        for eid in self._by_id:
-            mask |= 1 << eid
-        return mask
+        derived = self._derived
+        if derived.full is None:
+            derived.full = edge_set(self._by_id)
+        return derived.full
 
     def is_loop(self, eid):
         u, v = self.endpoints(eid)
@@ -196,11 +218,10 @@ def cycl(g: Graph, mask: int) -> int:
 
 def is_connected(g: Graph) -> bool:
     """Whether g is connected, worked out on the first call and kept on g."""
-    known = getattr(g, "_connected", None)  # the slot is unset until then
-    if known is None:
-        known = cc(g, g.full_edge_set()) == 1
-        object.__setattr__(g, "_connected", known)
-    return known
+    derived = g._derived
+    if derived.connected is None:
+        derived.connected = cc(g, g.full_edge_set()) == 1
+    return derived.connected
 
 
 def is_spanning_tree(g: Graph, mask: int) -> bool:
@@ -222,12 +243,38 @@ def require_spanning_tree(g: Graph, mask: int):
 
 
 def classify_edge(g: Graph, eid: int) -> str:
-    """Classify an edge of g as Loop, Isthmus or Standard."""
-    u, v = g.endpoints(eid)
-    if u == v:
-        return LOOP
-    roots = class_roots(g, g.full_edge_set() & ~(1 << eid))
-    return ISTHMUS if roots[u] != roots[v] else STANDARD
+    """Classify an edge of g as Loop, Isthmus or Standard.
+
+    The kind is worked out on the first call for the edge and kept on g; an
+    unknown id is refused and keeps nothing.  An isthmus of a disconnected
+    graph is an edge whose removal separates its ends.
+    """
+    kinds = g._derived.kinds
+    kind = kinds.get(eid)
+    if kind is None:
+        u, v = g.endpoints(eid)
+        if u == v:
+            kind = LOOP
+        else:
+            roots = class_roots(g, g.full_edge_set() & ~(1 << eid))
+            kind = ISTHMUS if roots[u] != roots[v] else STANDARD
+        kinds[eid] = kind
+    return kind
+
+
+def walk_start(g: Graph):
+    """(triples, slack, roots): where every walk and pass on g starts.
+
+    The triples are (1 << id, u, v) per edge in id order, the slack is the
+    cyclomatic number of g's loopless part and the roots, a tuple so that
+    no walk can change them, are the identity.  Worked out once per graph.
+    """
+    derived = g._derived
+    if derived.start is None:
+        triples = tuple((1 << f, u, v) for f, u, v in g.edges)
+        slack = sum(u != v for _, u, v in g.edges) - g.vertex_count + 1
+        derived.start = triples, slack, tuple(range(g.vertex_count))
+    return derived.start
 
 
 # -- spanning trees and forests --------------------------------------------

@@ -109,9 +109,13 @@ def _pivot_order(g):
 
     The ranks come from a breadth-first search started at the vertex that a
     first search, from vertex 0, reaches last; both visit neighbours by
-    vertex id, and edge ids only break ties.  Starting at the far end keeps
-    the layers narrow whatever the ids are: on a grid it starts at a corner
-    rather than wherever vertex 0 happens to lie.
+    vertex id, and edge ids only order parallel edges.  So the order does
+    not depend on the ids of non-parallel edges, and on a grid it starts at
+    a corner rather than wherever vertex 0 happens to lie.  It does not
+    promise narrow layers: their width depends on the vertex numbering.
+    The wheel W40 with its vertex labels permuted (seeds 3 and 7) was
+    refused at LAYERED_MAX_MINORS after 19.8 s and 47.5 s on a 2-core VM;
+    ROADMAP item 3 is the fix.
     """
     adj = [set() for _ in range(g.vertex_count)]
     for _, u, v in g.edges:

@@ -16,7 +16,8 @@ from tutte_activities.engine import (DIRECTION_OF_TYPE, _contract,
 from tutte_activities.harness import connected_multigraphs
 from conftest import (contract, delete, descending_submasks,
                       fixture_graph, fixture_map, forest_active,
-                      fundamental_cycle, grid, letters_of, mask_of, permuted)
+                      fundamental_cycle, grid, letters_of, mask_of, moved_ids,
+                      permuted, renamed)
 
 # Expected types for every subgraph of the parallel triangle under the
 # fixture decision tree, grouped by equivalence class.  The singleton class
@@ -381,14 +382,16 @@ def test_walks_match_the_rebuilt_minor_walk(corpus):
 
 
 class _Recording:
-    """Forwards every query and records its prefix."""
+    """Forwards every query and records its prefix and its `used` mask."""
 
     def __init__(self, oracle):
         self.oracle = oracle
         self.asked = []
+        self.used = []
 
     def next_edge(self, prefix, used=None):
         self.asked.append(prefix)
+        self.used.append(used)
         return self.oracle.next_edge(prefix, used)
 
 
@@ -425,6 +428,46 @@ def test_walk_asks_each_node_once(g4, d4):
         assert len(asked) == len(set(asked)), walk
         assert len(walked) == leaves, walk
         assert len(asked) < leaves * g4.edge_count(), walk
+
+
+def _cold_and_warm_passes(g, spec, subgraphs):
+    """Each pass's output and queries, cold and warm.
+
+    Cold, each pass runs on a copy of g of its own that has worked nothing
+    out; warm, on one copy that every pass has already run on once.
+    """
+    passes = [decision_walk, forest_walk] + [
+        lambda h, oracle, s=s: [run_history(h, oracle, s)] for s in subgraphs]
+
+    def recorded(h, walk):
+        recording = _Recording(make_oracle(spec, h))
+        return list(walk(h, recording)), recording.asked, recording.used
+
+    cold = [recorded(gr.Graph(g.vertex_count, g.edges), walk)
+            for walk in passes]
+    warm = gr.Graph(g.vertex_count, g.edges)
+    for walk in passes:
+        recorded(warm, walk)
+    assert warm._derived.start is not None
+    return cold, [recorded(warm, walk) for walk in passes]
+
+
+@pytest.mark.parametrize("spec", ["linear", "random:4", "dfs"])
+def test_walks_read_the_same_on_a_cold_and_a_warm_graph(corpus, spec):
+    rng = random.Random(35)
+    graphs = connected_multigraphs(3) + [
+        renamed(permuted(g, i), moved_ids(g, rng))
+        for i, g in enumerate(rng.sample(corpus, 25))]
+    if spec == "dfs":  # the marking DFS refuses multiple edges
+        graphs = [g for g in graphs if len({(min(u, v), max(u, v))
+                                            for _, u, v in g.edges})
+                  == g.edge_count()]
+    for g in graphs:
+        trees = gr.spanning_trees(g)
+        subgraphs = {0, g.full_edge_set(), trees[0], trees[-1],
+                     rng.getrandbits(max(g.edge_ids) + 1)}
+        cold, warm = _cold_and_warm_passes(g, spec, sorted(subgraphs))
+        assert cold == warm, (g, spec)
 
 
 def _typing_pass_agrees(g, oracle, tree):

@@ -10,7 +10,8 @@ from tutte_activities.harness import connected_multigraphs
 from tutte_activities.tutte import tutte_delcon
 from conftest import (FIXTURES, contract, delete, fixture_graph,
                       fundamental_cocycle, fundamental_cycle, grid,
-                      kirchhoff_count, letters_of, mask_of, permuted)
+                      kirchhoff_count, letters_of, mask_of, moved_ids,
+                      permuted, renamed)
 
 
 def test_classify_examples(g4):
@@ -157,6 +158,119 @@ def test_connectivity_is_kept_and_survives_copy_and_pickle():
         for again in (copy.copy(g), copy.deepcopy(g),
                       pickle.loads(pickle.dumps(g))):
             assert again == g and gr.is_connected(again) is connected
+
+
+def _fresh(g):
+    """g rebuilt, with nothing worked out yet."""
+    return gr.Graph(g.vertex_count, g.edges)
+
+
+def _separated_kind(g, eid):
+    """Loop, Isthmus or Standard, by a search over the other edges."""
+    u, v = g.endpoints(eid)
+    if u == v:
+        return gr.LOOP
+    others = gr.edge_set(g.edge_ids) & ~(1 << eid)
+    return gr.STANDARD if v in _bfs_component(g, others, u) else gr.ISTHMUS
+
+
+def _disconnected_graphs(rng, count=20):
+    """Disjoint unions of two small multigraphs, some with a spare vertex."""
+    small = connected_multigraphs(3)
+    graphs = []
+    for _ in range(count):
+        a, b = rng.sample(small, 2)
+        shift = a.vertex_count
+        graphs.append(gr.Graph(
+            shift + b.vertex_count + rng.randint(0, 2),
+            list(a.edges) + [(a.edge_count() + eid, u + shift, v + shift)
+                             for eid, u, v in b.edges]))
+    return graphs
+
+
+def test_kept_kinds_equal_a_fresh_search(corpus):
+    # each edge is asked twice, in a shuffled order, on a graph that has
+    # worked nothing out; ids from 0 and ids moved above m alike
+    rng = random.Random(33)
+    disconnected = _disconnected_graphs(rng)
+    assert not any(gr.is_connected(g) for g in disconnected)
+    for i, base in enumerate(corpus + connected_multigraphs(4)
+                             + disconnected):
+        for g in (permuted(base, i), renamed(base, moved_ids(base, rng))):
+            want = {eid: _separated_kind(g, eid) for eid in g.edge_ids}
+            g = _fresh(g)
+            asked = list(g.edge_ids) * 2
+            rng.shuffle(asked)
+            assert [gr.classify_edge(g, eid) for eid in asked] == \
+                [want[eid] for eid in asked], g
+            assert g._derived.kinds == want, g
+
+
+def test_kinds_are_kept_one_edge_at_a_time():
+    g = gr.Graph(3, [(5, 0, 1), (7, 0, 1), (9, 1, 2), (11, 2, 2)])
+    for eid in (0, 6, 12, -1):
+        with pytest.raises(ValueError, match=f"^unknown edge id {eid}$"):
+            gr.classify_edge(g, eid)
+    assert g._derived.kinds == {}
+    assert gr.classify_edge(g, 9) == gr.ISTHMUS
+    assert g._derived.kinds == {9: gr.ISTHMUS}
+
+
+def _answers(g):
+    """What g's derived-data record serves, worked out or read back."""
+    kinds = [gr.classify_edge(g, eid) for eid in g.edge_ids]
+    answers = (kinds, gr.is_connected(g), g.full_edge_set(), gr.walk_start(g))
+    if gr.is_connected(g):
+        answers += (gr.spanning_trees(g), gr.spanning_forests(g))
+    return answers
+
+
+def test_copies_ignore_the_record_and_answer_the_same():
+    for base in (fixture_graph("dfs_six"), fixture_graph("cycles_cocycles"),
+                 gr.Graph(4, [(3, 0, 1), (8, 1, 1), (2, 2, 3)])):
+        g = _fresh(base)
+        text = repr(g)
+        want = _answers(g)
+        assert _answers(g) == want  # read back
+        assert g == base and hash(g) == hash(base) and repr(g) == text
+        for again in (copy.copy(g), copy.deepcopy(g),
+                      pickle.loads(pickle.dumps(g))):
+            assert again == g and hash(again) == hash(g)
+            assert repr(again) == text
+            assert again._derived is not g._derived
+            assert again._derived.kinds == {}  # starts a record of its own
+            assert _answers(again) == want
+
+
+def test_first_use_from_many_threads_gives_the_same_kinds(corpus):
+    # more threads than cores, switching every microsecond, all asking a
+    # graph that has worked nothing out, edges in shuffled order
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    rng = random.Random(34)
+    graphs = [permuted(g, i) for i, g in enumerate(rng.sample(corpus, 12))]
+    graphs += [fixture_graph("cycles_cocycles")] + _disconnected_graphs(rng, 4)
+    for base in graphs:
+        want = {eid: _separated_kind(base, eid) for eid in base.edge_ids}
+        g = _fresh(base)
+
+        def ask(eid):
+            return (gr.classify_edge(g, eid), gr.is_connected(g),
+                    gr.walk_start(g), g.full_edge_set())
+
+        asked = list(g.edge_ids) * 4
+        rng.shuffle(asked)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                answers = list(pool.map(ask, asked, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        rest = (gr.is_connected(base), gr.walk_start(base),
+                base.full_edge_set())
+        assert answers == [(want[eid],) + rest for eid in asked], base
+        assert g._derived.kinds == want, base
 
 
 def small_multigraphs_with_permuted_ids():

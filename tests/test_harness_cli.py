@@ -561,6 +561,16 @@ def test_cli_rejects_edge_id_not_in_graph(command):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("command", [
+    ("history",), ("activity",), ("ordering", "--order", "0,1,2")])
+def test_cli_rejects_edge_id_repeated_in_tree(command):
+    # the repeat once gave the activity of {0,1} without a word
+    out = run_cli(*command, "--graph", str(graph_path("triangle")),
+                  "--tree", "0,1,1")
+    assert _one_error_line(out) == "error: --tree: repeated edge id 1"
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize("text", ["(2", "(2 (1", "(2 (1 (0 (3) (3))", ""])
 def test_cli_truncated_decision_tree(tmp_path, text):
     bad = tmp_path / "cut.tree"
